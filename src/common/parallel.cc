@@ -2,6 +2,8 @@
 
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -20,6 +22,17 @@ constexpr size_t kSerialCutoff = 256;
 // Depth of parallel regions on this thread: > 0 inside a pool worker or a
 // caller currently inside ParallelForRange. Nested calls run serially.
 thread_local int g_parallel_depth = 0;
+
+// CPUs this process may run on (its affinity mask: taskset, cpusets), or
+// the hardware thread count when the mask cannot be read.
+size_t AvailableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<size_t>(CPU_COUNT(&set));
+  }
+  return std::max<size_t>(std::thread::hardware_concurrency(), 1);
+}
 
 /// One dispatched parallel loop. Shared by the caller and every worker that
 /// wakes for it; chunk claims and completion are tracked per-job so a
@@ -74,10 +87,9 @@ class ThreadPool {
 
  private:
   ThreadPool() {
-    const size_t hw =
-        std::max<size_t>(std::thread::hardware_concurrency(), 1);
-    workers_.reserve(hw - 1);
-    for (size_t t = 0; t + 1 < hw; ++t) {
+    const size_t cpus = AvailableCpus();
+    workers_.reserve(cpus - 1);
+    for (size_t t = 0; t + 1 < cpus; ++t) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }

@@ -1,8 +1,9 @@
 // Copyright 2026 The LearnRisk Authors
 // Data-parallel loops over a persistent worker pool. The pool is created
-// lazily on first use (hardware_concurrency - 1 workers; the calling thread
-// always participates) and reused for the life of the process, so a hot
-// training loop pays no thread spawn/join cost per epoch.
+// lazily on first use (one worker per CPU in the process's affinity mask,
+// less one: the calling thread always participates) and reused for the life
+// of the process, so a hot training loop pays no thread spawn/join cost per
+// epoch.
 //
 // Work is split into statically-sized contiguous chunks (one per
 // participating thread); per-index dispatch happens inside the inlined chunk
@@ -47,7 +48,8 @@ void ParallelFor(size_t n, Fn&& fn, size_t num_threads = 0) {
       num_threads);
 }
 
-/// \brief Number of threads a ParallelFor can use (pool workers + caller).
+/// \brief Number of threads a ParallelFor can use (pool workers + caller):
+/// the CPUs in the process's affinity mask when the pool starts.
 size_t ParallelConcurrency();
 
 }  // namespace learnrisk

@@ -3,10 +3,12 @@
 #include "gateway/gateway.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -18,6 +20,21 @@
 namespace learnrisk {
 namespace {
 
+// Stage names (metric label and trace span), indexed by Gateway::Stage.
+constexpr const char* kStageNames[] = {
+    "block", "shard_merge", "featurize", "classify",
+    "risk",  "review",      "wal_append", "publish"};
+
+// The StageTiming field each stage fills, indexed by Gateway::Stage.
+constexpr double StageTiming::*kStageTimingFields[] = {
+    &StageTiming::blocking_ms,   &StageTiming::shard_merge_ms,
+    &StageTiming::featurize_ms,  &StageTiming::classify_ms,
+    &StageTiming::score_ms,      &StageTiming::review_ms,
+    &StageTiming::wal_append_ms, &StageTiming::publish_ms};
+
+// Read API names (metric label and trace api), indexed by Gateway::Api.
+constexpr const char* kApiNames[] = {"resolve", "resolve_record"};
+
 // Feeds a millisecond measurement that was already taken for StageTiming
 // into a nanosecond histogram — one clock reading backing both views.
 void RecordMs(LatencyHistogram* histogram, double ms) {
@@ -25,20 +42,18 @@ void RecordMs(LatencyHistogram* histogram, double ms) {
   histogram->Record(ms <= 0.0 ? 0 : static_cast<uint64_t>(ms * 1e6));
 }
 
-// Steady-clock nanoseconds (trace start timestamps: monotone within the
-// process, comparable across requests, never wall-clock).
-uint64_t SteadyNowNs() {
+uint64_t Nanos(std::chrono::steady_clock::duration d) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
 }
 
-// A stage measurement taken outside a TraceSpan (featurize/classify come
-// pre-timed from the pipeline), appended to a trace's stage list.
-void SinkStage(std::vector<TraceStageSpan>* sink, const char* stage,
-               double ms) {
-  if (sink != nullptr) sink->push_back(TraceStageSpan{stage, ms});
+// The blocking index of every pinned shard snapshot, in shard order.
+template <typename Snapshots>
+std::vector<const BlockingIndex*> ShardIndexes(const Snapshots& snaps) {
+  std::vector<const BlockingIndex*> indexes;
+  indexes.reserve(snaps.size());
+  for (const auto& snap : snaps) indexes.push_back(&snap->index);
+  return indexes;
 }
 
 // --- Sharded durable layout (docs/DURABILITY.md "Sharded namespaces") ------
@@ -135,6 +150,108 @@ std::vector<size_t> TopRiskIndices(const std::vector<double>& risk,
 
 }  // namespace
 
+// --- Per-request stage list --------------------------------------------------
+// Every stage is timed exactly once, into a fixed-capacity list (recording
+// never allocates). Finish() — at the end of the request, or from the
+// destructor on an early error return — derives the request's views from
+// that list in one place: the StageTiming fields, one sample per crossed
+// stage in the namespace's stage histograms, and the request-latency
+// sample. A captured trace copies the same list, so no two views can
+// disagree on what a stage cost.
+class Gateway::RequestStages {
+ public:
+  using Clock = std::chrono::steady_clock;
+  static_assert(std::size(kStageNames) == kNumStages);
+  static_assert(std::size(kStageTimingFields) == kNumStages);
+  static_assert(std::size(kApiNames) == kNumApis);
+
+  /// \brief Times one stage from construction to Stop() or scope exit.
+  class Span {
+   public:
+    Span(RequestStages& stages, Stage stage)
+        : stages_(&stages), stage_(stage), start_(Clock::now()) {}
+    Span(const Span&) = delete;
+    Span& operator=(const Span&) = delete;
+    ~Span() { Stop(); }
+
+    /// \brief Ends the span now (idempotent).
+    void Stop() {
+      if (stages_ == nullptr) return;
+      stages_->Add(stage_,
+                   static_cast<double>(Nanos(Clock::now() - start_)) / 1e6);
+      stages_ = nullptr;
+    }
+
+   private:
+    RequestStages* stages_;
+    Stage stage_;
+    Clock::time_point start_;
+  };
+
+  /// `request_latency` may be null (AddRecord has no latency histogram);
+  /// `timing` receives the stage fields at Finish().
+  RequestStages(const NamespaceMetrics& metrics,
+                LatencyHistogram* request_latency, StageTiming* timing)
+      : metrics_(metrics),
+        request_latency_(request_latency),
+        timing_(timing),
+        start_(Clock::now()) {}
+  RequestStages(const RequestStages&) = delete;
+  RequestStages& operator=(const RequestStages&) = delete;
+  ~RequestStages() { Finish(); }
+
+  /// \brief Records a stage measured elsewhere (the pipeline's featurize
+  /// and classify, the shard merge).
+  void Add(Stage stage, double ms) {
+    if (size_ < entries_.size()) entries_[size_++] = Entry{stage, ms};
+  }
+
+  /// \brief Ends the request (idempotent) and feeds every view of the
+  /// list.
+  void Finish() {
+    if (finished_) return;
+    finished_ = true;
+    total_ns_ = Nanos(Clock::now() - start_);
+    if (request_latency_ != nullptr) request_latency_->Record(total_ns_);
+    for (size_t i = 0; i < size_; ++i) {
+      const Entry& entry = entries_[i];
+      RecordMs(metrics_.stage_latency[entry.stage], entry.ms);
+      timing_->*kStageTimingFields[entry.stage] = entry.ms;
+    }
+  }
+
+  /// \brief Steady-clock ns at request start (trace timestamps: monotone
+  /// within the process, never wall-clock).
+  uint64_t start_ns() const { return Nanos(start_.time_since_epoch()); }
+  uint64_t total_ns() const { return total_ns_; }
+
+  /// \brief The list as trace spans, in execution order.
+  std::vector<TraceStageSpan> TraceSpans() const {
+    std::vector<TraceStageSpan> spans;
+    spans.reserve(size_);
+    for (size_t i = 0; i < size_; ++i) {
+      spans.push_back(
+          TraceStageSpan{kStageNames[entries_[i].stage], entries_[i].ms});
+    }
+    return spans;
+  }
+
+ private:
+  struct Entry {
+    Stage stage;
+    double ms;
+  };
+
+  const NamespaceMetrics& metrics_;
+  LatencyHistogram* request_latency_;
+  StageTiming* timing_;
+  Clock::time_point start_;
+  std::array<Entry, kNumStages> entries_;
+  size_t size_ = 0;
+  bool finished_ = false;
+  uint64_t total_ns_ = 0;
+};
+
 Gateway::Gateway(GatewayOptions options)
     : options_(std::move(options)), registry_(options_.registry) {
   if (options_.trace.enabled) {
@@ -216,21 +333,14 @@ Gateway::NamespaceMetrics Gateway::CreateNamespaceMetrics(
           "Distribution of served feature values per metric column"));
     }
   }
-  auto stage = [&](const char* name) {
-    return metric_registry_.Latency(
+  for (size_t stage = 0; stage < kNumStages; ++stage) {
+    if (stage == kReviewStage && !options_.review.enabled) continue;
+    m.stage_latency[stage] = metric_registry_.Latency(
         "learnrisk_gateway_stage_latency_seconds",
-        {{"namespace", ns}, {"stage", name}},
+        {{"namespace", ns}, {"stage", kStageNames[stage]}},
         "Per-stage wall time of gateway requests (StageTiming's twin)");
-  };
-  m.stage_block = stage("block");
-  m.stage_shard_merge = stage("shard_merge");
-  m.stage_featurize = stage("featurize");
-  m.stage_classify = stage("classify");
-  m.stage_risk = stage("risk");
-  m.stage_wal_append = stage("wal_append");
-  m.stage_publish = stage("publish");
+  }
   if (options_.review.enabled) {
-    m.stage_review = stage("review");
     m.review_enqueued = metric_registry_.Counter(
         "learnrisk_gateway_review_enqueued_total", ns_labels,
         "Review offers admitted into the queue");
@@ -265,22 +375,16 @@ Gateway::NamespaceMetrics Gateway::CreateNamespaceMetrics(
         "learnrisk_gateway_retrain_publish_latency_seconds", ns_labels,
         "Retrained-model publish wall time (baseline, hot-swap, checkpoint)");
   }
-  m.resolve_latency = metric_registry_.Latency(
-      "learnrisk_gateway_request_latency_seconds",
-      {{"api", "resolve"}, {"namespace", ns}},
-      "End-to-end gateway request wall time (all outcomes)");
-  m.resolve_record_latency = metric_registry_.Latency(
-      "learnrisk_gateway_request_latency_seconds",
-      {{"api", "resolve_record"}, {"namespace", ns}},
-      "End-to-end gateway request wall time (all outcomes)");
-  m.resolve_requests = metric_registry_.Counter(
-      "learnrisk_gateway_requests_total",
-      {{"api", "resolve"}, {"namespace", ns}},
-      "Successfully answered gateway requests");
-  m.resolve_record_requests = metric_registry_.Counter(
-      "learnrisk_gateway_requests_total",
-      {{"api", "resolve_record"}, {"namespace", ns}},
-      "Successfully answered gateway requests");
+  for (size_t api = 0; api < kNumApis; ++api) {
+    const MetricLabels api_labels = {{"api", kApiNames[api]},
+                                     {"namespace", ns}};
+    m.request_latency[api] = metric_registry_.Latency(
+        "learnrisk_gateway_request_latency_seconds", api_labels,
+        "End-to-end gateway request wall time (all outcomes)");
+    m.requests[api] = metric_registry_.Counter(
+        "learnrisk_gateway_requests_total", api_labels,
+        "Successfully answered gateway requests");
+  }
   m.pairs_scored =
       metric_registry_.Counter("learnrisk_gateway_pairs_scored_total",
                                ns_labels, "Candidate pairs risk-scored");
@@ -608,25 +712,30 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
     Result<size_t> prior_shards =
         ReadShardsFile(ShardsFilePath(options_.durability, ns));
     if (!prior_shards.ok()) return prior_shards.status();
+    if (num_shards > 1 && NamespaceLog::Exists(options_.durability.dir, ns)) {
+      return Status::FailedPrecondition(
+          "durable state already exists for namespace '" + ns +
+          "'; recover it instead of re-registering");
+    }
+    // A SHARDS file with every shard manifest committed is a complete
+    // sharded namespace; anything less is debris from an interrupted
+    // registration (a crash before the last manifest commit means the
+    // registration was never acknowledged) and is cleared below.
+    const DurabilityOptions shard_opts =
+        ShardDurability(options_.durability, ns);
+    size_t committed = 0;
+    while (committed < *prior_shards &&
+           NamespaceLog::Exists(shard_opts.dir, ShardLogName(committed))) {
+      ++committed;
+    }
+    if (*prior_shards > 0 && committed == *prior_shards) {
+      return Status::FailedPrecondition(
+          "sharded durable state already exists for namespace '" + ns +
+          "'; recover it instead of re-registering");
+    }
     if (num_shards == 1) {
-      if (*prior_shards > 0) {
-        const DurabilityOptions shard_opts =
-            ShardDurability(options_.durability, ns);
-        bool committed = true;
-        for (size_t k = 0; k < *prior_shards; ++k) {
-          if (!NamespaceLog::Exists(shard_opts.dir, ShardLogName(k))) {
-            committed = false;
-            break;
-          }
-        }
-        if (committed) {
-          return Status::FailedPrecondition(
-              "sharded durable state already exists for namespace '" + ns +
-              "'; recover it instead of re-registering");
-        }
-        // Interrupted sharded registration: NamespaceLog::Create below
-        // clears the whole namespace directory (no legacy MANIFEST exists).
-      }
+      // Sharded debris: NamespaceLog::Create clears the whole namespace
+      // directory (no legacy MANIFEST exists).
       Result<std::unique_ptr<NamespaceLog>> log =
           NamespaceLog::Create(options_.durability, ns);
       if (!log.ok()) return log.status();
@@ -636,30 +745,7 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
       LEARNRISK_RETURN_NOT_OK(state->shards[0]->log->WriteCheckpoint(
           *spec.left, dedup ? nullptr : spec.right.get(), 0, nullptr));
     } else {
-      if (NamespaceLog::Exists(options_.durability.dir, ns)) {
-        return Status::FailedPrecondition(
-            "durable state already exists for namespace '" + ns +
-            "'; recover it instead of re-registering");
-      }
-      const DurabilityOptions shard_opts =
-          ShardDurability(options_.durability, ns);
       if (*prior_shards > 0) {
-        // A SHARDS file with every shard manifest committed is a complete
-        // sharded namespace; anything less is debris from an interrupted
-        // registration (a crash before the last manifest commit means the
-        // registration was never acknowledged) and is cleared.
-        bool committed = true;
-        for (size_t k = 0; k < *prior_shards; ++k) {
-          if (!NamespaceLog::Exists(shard_opts.dir, ShardLogName(k))) {
-            committed = false;
-            break;
-          }
-        }
-        if (committed) {
-          return Status::FailedPrecondition(
-              "sharded durable state already exists for namespace '" + ns +
-              "'; recover it instead of re-registering");
-        }
         std::error_code ec;
         std::filesystem::remove_all(shard_opts.dir, ec);
         std::filesystem::remove(ShardsFilePath(options_.durability, ns), ec);
@@ -783,66 +869,22 @@ size_t Gateway::RouteShard(NamespaceState& state, BlockingSide side) {
   return best;
 }
 
-Status Gateway::ScoreBatch(const std::string& ns,
-                           const NamespaceMetrics& metrics,
-                           const FeaturizedBatch& batch, size_t explain_top_k,
-                           ScoreResponse* scores, StageTiming* timing,
-                           std::vector<TraceStageSpan>* stage_sink,
-                           std::shared_ptr<const ScorerSnapshot>* scorer_out) {
-  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
-  if (!engine.ok()) {
-    // A registered namespace is only unknown to the registry before its
-    // first publish; surface that as a precondition, not a lookup miss.
-    if (engine.status().IsNotFound()) {
-      return Status::FailedPrecondition("no model published for namespace '" +
-                                        ns + "'");
-    }
-    return engine.status();
-  }
-  ScoreRequest request;
-  request.metric_features = &batch.features;
-  request.classifier_probs = batch.probs;
-  request.explain_top_k = explain_top_k;
-  TraceSpan span(metrics.stage_risk, &timing->score_ms, stage_sink, "risk");
-  Result<ScoreResponse> response = (*engine)->Score(request);
-  span.Stop();
-  if (!response.ok()) return response.status();
-  *scores = response.MoveValueOrDie();
-  if (scorer_out != nullptr) {
-    // Best-effort for trace explanations: a publish landing mid-request can
-    // make this snapshot one version newer than the one that scored; trace
-    // capture re-validates column bounds before reading it.
-    *scorer_out = (*engine)->snapshot();
-  }
-  if (metrics.pairs_scored != nullptr) {
-    metrics.pairs_scored->Add(scores->risk.size());
-  }
-  if (metrics.risk_scores != nullptr) {
-    for (double risk : scores->risk) metrics.risk_scores->Record(risk);
-  }
-  return Status::OK();
-}
-
 void Gateway::MaybeCaptureTrace(
     const char* api, const std::string& ns, uint64_t request_id,
-    uint64_t start_ns, uint64_t total_ns,
-    std::vector<TraceStageSpan> stages, size_t candidates,
+    const RequestStages& stages, const PairKeys& keys,
     const FeaturizedBatch* batch, const ScoreResponse* scores,
     const std::shared_ptr<const ScorerSnapshot>& scorer,
-    const std::vector<RecordPair>* pairs,
-    const std::vector<size_t>* probe_candidates,
-    const std::vector<size_t>* top_risk) {
+    const std::vector<size_t>& top_risk) {
+  const uint64_t total_ns = stages.total_ns();
   const TraceOptions& t = options_.trace;
   const bool head_sampled =
       t.sample_every > 0 && request_id % t.sample_every == 0;
   const bool slow = t.slow_request_ms > 0.0 &&
                     static_cast<double>(total_ns) >= t.slow_request_ms * 1e6;
-  double max_risk = 0.0;
-  if (scores != nullptr) {
-    for (double risk : scores->risk) max_risk = std::max(max_risk, risk);
-  }
-  const bool high_risk = t.high_risk_threshold >= 0.0 && scores != nullptr &&
-                         !scores->risk.empty() &&
+  // The ranking is risk-descending: its head is the request's maximum.
+  const double max_risk =
+      top_risk.empty() ? 0.0 : std::max(0.0, scores->risk[top_risk[0]]);
+  const bool high_risk = t.high_risk_threshold >= 0.0 && !top_risk.empty() &&
                          max_risk >= t.high_risk_threshold;
   if (!head_sampled && !slow && !high_risk) return;
 
@@ -853,28 +895,20 @@ void Gateway::MaybeCaptureTrace(
   trace->api = api;
   trace->ns = ns;
   trace->model_version = scores != nullptr ? scores->model_version : 0;
-  trace->start_ns = start_ns;
+  trace->start_ns = stages.start_ns();
   trace->total_ns = total_ns;
-  trace->candidates = candidates;
+  trace->candidates = keys.size();
   trace->pairs_scored = scores != nullptr ? scores->risk.size() : 0;
   trace->max_risk = max_risk;
   trace->head_sampled = head_sampled;
   trace->slow = slow;
   trace->high_risk = high_risk;
-  trace->stages = std::move(stages);
+  trace->stages = stages.TraceSpans();
 
-  if (scores != nullptr && batch != nullptr && !scores->risk.empty() &&
-      t.top_k > 0) {
-    // Top-k riskiest pairs, ties broken by original order. Reuse the
-    // request's shared ranking when the caller computed one (the review
-    // enqueue needs the same top of the ranking); otherwise rank here.
-    const size_t k = std::min(t.top_k, scores->risk.size());
-    std::vector<size_t> local_order;
-    if (top_risk == nullptr || top_risk->size() < k) {
-      local_order = TopRiskIndices(scores->risk, k);
-      top_risk = &local_order;
-    }
-    const std::vector<size_t>& order = *top_risk;
+  if (!top_risk.empty()) {
+    // Top-k riskiest pairs, ties broken by original order: the head of the
+    // request's shared ranking.
+    const size_t k = std::min(t.top_k, top_risk.size());
     // The scorer may be one publish newer than the one that produced
     // `scores` (hot-swap mid-request); re-validate its column needs before
     // reading feature rows through its compiled plan.
@@ -883,14 +917,11 @@ void Gateway::MaybeCaptureTrace(
         batch->features.cols() >= scorer->compiled().min_feature_columns();
     trace->top_risky.reserve(k);
     for (size_t rank = 0; rank < k; ++rank) {
-      const size_t idx = order[rank];
+      const size_t idx = top_risk[rank];
       TracedDecision decision;
-      if (pairs != nullptr && idx < pairs->size()) {
-        decision.left = static_cast<int64_t>((*pairs)[idx].left);
-        decision.right = static_cast<int64_t>((*pairs)[idx].right);
-      } else if (probe_candidates != nullptr &&
-                 idx < probe_candidates->size()) {
-        decision.right = static_cast<int64_t>((*probe_candidates)[idx]);
+      if (idx < keys.size()) {
+        decision.left = keys.left(idx);
+        decision.right = keys.right(idx);
       }
       decision.risk = scores->risk[idx];
       decision.classifier_prob =
@@ -919,13 +950,8 @@ Status Gateway::EnqueueReview(NamespaceState& s, const FeaturizedBatch& batch,
                               const ScoreResponse& scores,
                               uint64_t request_id,
                               const std::vector<size_t>& top_risk,
-                              const std::vector<RecordPair>* pairs,
-                              const std::vector<size_t>* probe_candidates,
-                              StageTiming* timing,
-                              std::vector<TraceStageSpan>* stage_sink) {
+                              const PairKeys& keys) {
   const ReviewOptions& r = options_.review;
-  TraceSpan span(s.metrics.stage_review, &timing->review_ms, stage_sink,
-                 "review");
   // Build the offer batch from the shared ranking: top-budget decisions at
   // or above the risk floor (the order is risk-descending, so the first
   // decision below the floor ends the scan).
@@ -935,17 +961,10 @@ Status Gateway::EnqueueReview(NamespaceState& s, const FeaturizedBatch& batch,
   for (size_t rank = 0; rank < budget; ++rank) {
     const size_t idx = top_risk[rank];
     if (scores.risk[idx] < r.min_risk) break;
+    if (idx >= keys.size()) continue;
     ReviewItem item;
-    if (pairs != nullptr && idx < pairs->size()) {
-      item.left = static_cast<int64_t>((*pairs)[idx].left);
-      item.right = static_cast<int64_t>((*pairs)[idx].right);
-    } else if (probe_candidates != nullptr &&
-               idx < probe_candidates->size()) {
-      // Probes are not stored records: key on the candidate side alone.
-      item.right = static_cast<int64_t>((*probe_candidates)[idx]);
-    } else {
-      continue;
-    }
+    item.left = keys.left(idx);
+    item.right = keys.right(idx);
     item.risk = scores.risk[idx];
     item.classifier_prob = idx < batch.probs.size() ? batch.probs[idx] : 0.0;
     item.machine_label =
@@ -1166,94 +1185,34 @@ Result<ResolveResponse> Gateway::Resolve(const std::string& ns,
         "empty ResolveRequest: provide pairs or set block_all");
   }
 
-  const NamespaceState& s = **state;
+  NamespaceState& s = **state;
   // One acquire load per shard pins the whole request to a frozen view;
   // writers publish successors without ever touching it.
   const std::vector<std::shared_ptr<const NamespaceSnapshot>> snaps =
       PinSnapshots(s);
-  const bool sharded = snaps.size() > 1;
   ResolveResponse response;
   response.request_id = NextRequestId();
   response.timing.request_id = response.request_id;
-  const bool tracing = traces_ != nullptr;
-  const uint64_t start_ns = tracing ? SteadyNowNs() : 0;
-  std::vector<TraceStageSpan> trace_stages;
-  std::vector<TraceStageSpan>* stage_sink = tracing ? &trace_stages : nullptr;
-  TraceSpan request_span(s.metrics.resolve_latency);
+  RequestStages stages(s.metrics, s.metrics.request_latency[kResolveApi],
+                       &response.timing);
   {
-    TraceSpan block(s.metrics.stage_block, &response.timing.blocking_ms,
-                    stage_sink, "block");
+    RequestStages::Span block(stages, kBlockStage);
     if (!request.block_all) {
       response.pairs = request.pairs;
-    } else if (!sharded) {
+    } else if (snaps.size() == 1) {
       response.pairs = snaps[0]->index.AllCandidates();
     } else {
-      std::vector<const BlockingIndex*> indexes;
-      indexes.reserve(snaps.size());
-      for (const auto& snap : snaps) indexes.push_back(&snap->index);
-      response.pairs =
-          MergedAllCandidates(indexes, &response.timing.shard_merge_ms);
+      double merge_ms = 0.0;
+      response.pairs = MergedAllCandidates(ShardIndexes(snaps), &merge_ms);
+      block.Stop();
+      // The merge phase is a sub-span of the blocking stage (already inside
+      // blocking_ms), surfaced separately so shard overhead is attributable.
+      stages.Add(kShardMergeStage, merge_ms);
     }
   }
-  if (sharded) {
-    // The merge phase is a sub-span of the blocking stage (already inside
-    // blocking_ms), surfaced separately so shard overhead is attributable.
-    RecordMs(s.metrics.stage_shard_merge, response.timing.shard_merge_ms);
-    SinkStage(stage_sink, "shard_merge", response.timing.shard_merge_ms);
-  }
-
-  std::vector<const SideStore*> left_stores;
-  std::vector<const SideStore*> right_stores;
-  left_stores.reserve(snaps.size());
-  right_stores.reserve(snaps.size());
-  for (const auto& snap : snaps) {
-    left_stores.push_back(&snap->left);
-    right_stores.push_back(&s.right_store(*snap));
-  }
-  const ShardedSideView left_view(std::move(left_stores));
-  const ShardedSideView right_view(std::move(right_stores));
-  Result<FeaturizedBatch> batch =
-      s.pipeline.RunPrepared(left_view, right_view, response.pairs);
-  if (!batch.ok()) return batch.status();
-  response.timing.featurize_ms = batch->featurize_ms;
-  response.timing.classify_ms = batch->classify_ms;
-  RecordMs(s.metrics.stage_featurize, batch->featurize_ms);
-  RecordMs(s.metrics.stage_classify, batch->classify_ms);
-  SinkStage(stage_sink, "featurize", batch->featurize_ms);
-  SinkStage(stage_sink, "classify", batch->classify_ms);
-
-  std::shared_ptr<const ScorerSnapshot> scorer;
-  LEARNRISK_RETURN_NOT_OK(ScoreBatch(ns, s.metrics, *batch,
-                                     request.explain_top_k, &response.scores,
-                                     &response.timing, stage_sink,
-                                     tracing ? &scorer : nullptr));
-  if (!s.metrics.feature_values.empty()) {
-    ObserveFeatures(batch->features, s.metrics.feature_values);
-  }
-  // One shared top-k pass over the decisions serves both the review
-  // enqueue and the trace capture below.
-  const bool reviewing =
-      s.review != nullptr && options_.review.per_request_budget > 0;
-  std::vector<size_t> top_risk;
-  if ((reviewing || tracing) && !response.scores.risk.empty()) {
-    const size_t k = std::max(reviewing ? options_.review.per_request_budget
-                                        : size_t{0},
-                              tracing ? options_.trace.top_k : size_t{0});
-    top_risk = TopRiskIndices(response.scores.risk, k);
-  }
-  if (reviewing) {
-    LEARNRISK_RETURN_NOT_OK(EnqueueReview(
-        *(*state), *batch, response.scores, response.request_id, top_risk,
-        &response.pairs, nullptr, &response.timing, stage_sink));
-  }
-  const uint64_t total_ns = request_span.Stop();
-  if (s.metrics.resolve_requests != nullptr) s.metrics.resolve_requests->Add(1);
-  if (tracing) {
-    MaybeCaptureTrace("resolve", ns, response.request_id, start_ns, total_ns,
-                      std::move(trace_stages), response.pairs.size(), &*batch,
-                      &response.scores, scorer, &response.pairs, nullptr,
-                      &top_risk);
-  }
+  LEARNRISK_RETURN_NOT_OK(ScoreCandidates(
+      kResolveApi, ns, s, snaps, {&response.pairs, nullptr}, nullptr, 0.0,
+      request.explain_top_k, response.request_id, stages, &response.scores));
   return response;
 }
 
@@ -1262,108 +1221,136 @@ Result<ProbeResponse> Gateway::ResolveRecord(const std::string& ns,
                                              size_t explain_top_k) {
   Result<std::shared_ptr<NamespaceState>> state = State(ns);
   if (!state.ok()) return state.status();
-  const NamespaceState& s = **state;
+  NamespaceState& s = **state;
   if (probe.values.size() != s.schema.num_attributes()) {
     return Status::InvalidArgument(
         "probe record width does not match the namespace schema");
   }
   const std::vector<std::shared_ptr<const NamespaceSnapshot>> snaps =
       PinSnapshots(s);
-  const bool sharded = snaps.size() > 1;
-
   ProbeResponse response;
   response.request_id = NextRequestId();
   response.timing.request_id = response.request_id;
-  const bool tracing = traces_ != nullptr;
-  const uint64_t start_ns = tracing ? SteadyNowNs() : 0;
-  std::vector<TraceStageSpan> trace_stages;
-  std::vector<TraceStageSpan>* stage_sink = tracing ? &trace_stages : nullptr;
-  TraceSpan request_span(s.metrics.resolve_record_latency);
+  RequestStages stages(s.metrics, s.metrics.request_latency[kResolveRecordApi],
+                       &response.timing);
   const BlockingSide target =
       s.dedup ? BlockingSide::kLeft : BlockingSide::kRight;
   {
-    TraceSpan block(s.metrics.stage_block, &response.timing.blocking_ms,
-                    stage_sink, "block");
-    if (!sharded) {
+    RequestStages::Span block(stages, kBlockStage);
+    if (snaps.size() == 1) {
       response.candidates = snaps[0]->index.Candidates(probe, target);
     } else {
-      std::vector<const BlockingIndex*> indexes;
-      indexes.reserve(snaps.size());
-      for (const auto& snap : snaps) indexes.push_back(&snap->index);
-      response.candidates = MergedCandidates(
-          indexes, probe, target, &response.timing.shard_merge_ms);
+      double merge_ms = 0.0;
+      response.candidates =
+          MergedCandidates(ShardIndexes(snaps), probe, target, &merge_ms);
+      block.Stop();
+      stages.Add(kShardMergeStage, merge_ms);
     }
   }
-  if (sharded) {
-    RecordMs(s.metrics.stage_shard_merge, response.timing.shard_merge_ms);
-    SinkStage(stage_sink, "shard_merge", response.timing.shard_merge_ms);
-  }
-
   // Probe preparation counts toward the featurize stage: it is the same
   // per-record work the prepared cache amortizes for stored records.
   Timer timer;
   const PreparedRecord prepared_probe = s.pipeline.Prepare(probe);
   const double prepare_ms = timer.ElapsedMillis();
-  std::vector<const SideStore*> target_stores;
-  target_stores.reserve(snaps.size());
-  for (const auto& snap : snaps) {
-    target_stores.push_back(&s.right_store(*snap));
-  }
-  const ShardedSideView target_view(std::move(target_stores));
-  Result<FeaturizedBatch> batch = s.pipeline.RunProbePrepared(
-      prepared_probe, target_view, response.candidates);
-  if (!batch.ok()) return batch.status();
-  response.timing.featurize_ms = prepare_ms + batch->featurize_ms;
-  response.timing.classify_ms = batch->classify_ms;
-  RecordMs(s.metrics.stage_featurize, response.timing.featurize_ms);
-  RecordMs(s.metrics.stage_classify, batch->classify_ms);
-  SinkStage(stage_sink, "featurize", response.timing.featurize_ms);
-  SinkStage(stage_sink, "classify", batch->classify_ms);
+  LEARNRISK_RETURN_NOT_OK(ScoreCandidates(
+      kResolveRecordApi, ns, s, snaps, {nullptr, &response.candidates},
+      &prepared_probe, prepare_ms, explain_top_k, response.request_id, stages,
+      &response.scores));
+  return response;
+}
 
-  std::shared_ptr<const ScorerSnapshot> scorer;
-  LEARNRISK_RETURN_NOT_OK(ScoreBatch(ns, s.metrics, *batch, explain_top_k,
-                                     &response.scores, &response.timing,
-                                     stage_sink,
-                                     tracing ? &scorer : nullptr));
+Status Gateway::ScoreCandidates(
+    Api api, const std::string& ns, NamespaceState& s,
+    const std::vector<std::shared_ptr<const NamespaceSnapshot>>& snaps,
+    const PairKeys& keys, const PreparedRecord* probe, double prepare_ms,
+    size_t explain_top_k, uint64_t request_id, RequestStages& stages,
+    ScoreResponse* scores) {
+  auto side_view = [&](BlockingSide side) {
+    std::vector<const SideStore*> stores;
+    stores.reserve(snaps.size());
+    for (const auto& snap : snaps) {
+      stores.push_back(side == BlockingSide::kLeft ? &snap->left
+                                                   : &s.right_store(*snap));
+    }
+    return ShardedSideView(std::move(stores));
+  };
+  const ShardedSideView right_view = side_view(BlockingSide::kRight);
+  Result<FeaturizedBatch> batch =
+      probe != nullptr
+          ? s.pipeline.RunProbePrepared(*probe, right_view, *keys.candidates)
+          : s.pipeline.RunPrepared(side_view(BlockingSide::kLeft), right_view,
+                                   *keys.pairs);
+  if (!batch.ok()) return batch.status();
+  stages.Add(kFeaturizeStage, prepare_ms + batch->featurize_ms);
+  stages.Add(kClassifyStage, batch->classify_ms);
+
+  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
+  if (!engine.ok()) {
+    // A registered namespace is only unknown to the registry before its
+    // first publish; surface that as a precondition, not a lookup miss.
+    if (engine.status().IsNotFound()) {
+      return Status::FailedPrecondition("no model published for namespace '" +
+                                        ns + "'");
+    }
+    return engine.status();
+  }
+  ScoreRequest request;
+  request.metric_features = &batch->features;
+  request.classifier_probs = batch->probs;
+  request.explain_top_k = explain_top_k;
+  RequestStages::Span risk(stages, kRiskStage);
+  Result<ScoreResponse> scored = (*engine)->Score(request);
+  risk.Stop();
+  if (!scored.ok()) return scored.status();
+  *scores = scored.MoveValueOrDie();
+  const bool tracing = traces_ != nullptr;
+  // Best-effort for trace explanations: a publish landing mid-request can
+  // make this snapshot one version newer than the one that scored; trace
+  // capture re-validates column bounds before reading it.
+  const std::shared_ptr<const ScorerSnapshot> scorer =
+      tracing ? (*engine)->snapshot() : nullptr;
+  if (s.metrics.pairs_scored != nullptr) {
+    s.metrics.pairs_scored->Add(scores->risk.size());
+  }
+  if (s.metrics.risk_scores != nullptr) {
+    for (double value : scores->risk) s.metrics.risk_scores->Record(value);
+  }
   if (!s.metrics.feature_values.empty()) {
     ObserveFeatures(batch->features, s.metrics.feature_values);
   }
+
+  // One shared top-k pass over the decisions serves both the review
+  // enqueue and the trace capture below (which reads the maximum risk off
+  // its head, so it ranks at least one).
   const bool reviewing =
       s.review != nullptr && options_.review.per_request_budget > 0;
   std::vector<size_t> top_risk;
-  if ((reviewing || tracing) && !response.scores.risk.empty()) {
-    const size_t k = std::max(reviewing ? options_.review.per_request_budget
-                                        : size_t{0},
-                              tracing ? options_.trace.top_k : size_t{0});
-    top_risk = TopRiskIndices(response.scores.risk, k);
+  if ((reviewing || tracing) && !scores->risk.empty()) {
+    const size_t k = std::max(
+        reviewing ? options_.review.per_request_budget : size_t{0},
+        tracing ? std::max<size_t>(options_.trace.top_k, 1) : size_t{0});
+    top_risk = TopRiskIndices(scores->risk, k);
   }
   if (reviewing) {
-    LEARNRISK_RETURN_NOT_OK(EnqueueReview(
-        *(*state), *batch, response.scores, response.request_id, top_risk,
-        nullptr, &response.candidates, &response.timing, stage_sink));
+    RequestStages::Span review(stages, kReviewStage);
+    LEARNRISK_RETURN_NOT_OK(
+        EnqueueReview(s, *batch, *scores, request_id, top_risk, keys));
   }
-  const uint64_t total_ns = request_span.Stop();
-  if (s.metrics.resolve_record_requests != nullptr) {
-    s.metrics.resolve_record_requests->Add(1);
-  }
+  stages.Finish();
+  if (s.metrics.requests[api] != nullptr) s.metrics.requests[api]->Add(1);
   if (tracing) {
-    MaybeCaptureTrace("resolve_record", ns, response.request_id, start_ns,
-                      total_ns, std::move(trace_stages),
-                      response.candidates.size(), &*batch, &response.scores,
-                      scorer, nullptr, &response.candidates, &top_risk);
+    MaybeCaptureTrace(kApiNames[api], ns, request_id, stages, keys, &*batch,
+                      scores, scorer, top_risk);
   }
-  return response;
+  return Status::OK();
 }
 
 Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
                           Record record, int64_t entity_id,
                           StageTiming* timing) {
   StageTiming local_timing;
-  if (timing == nullptr) {
-    timing = &local_timing;
-  } else {
-    *timing = StageTiming{};
-  }
+  if (timing == nullptr) timing = &local_timing;
+  *timing = StageTiming{};
   Result<std::shared_ptr<NamespaceState>> state = State(ns);
   if (!state.ok()) return state.status();
   NamespaceState& s = **state;
@@ -1372,10 +1359,9 @@ Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
         "record width does not match the namespace schema");
   }
   timing->request_id = NextRequestId();
-  const bool tracing = traces_ != nullptr;
-  const uint64_t start_ns = tracing ? SteadyNowNs() : 0;
-  std::vector<TraceStageSpan> trace_stages;
-  std::vector<TraceStageSpan>* stage_sink = tracing ? &trace_stages : nullptr;
+  // AddRecord has no latency histogram of its own; a trace's total is the
+  // sum of its measured stages plus the bookkeeping around them.
+  RequestStages stages(s.metrics, nullptr, timing);
   // Route to the owning shard (always shard 0 when unsharded), then
   // serialize only with that shard's writers; readers keep serving the
   // current snapshots throughout, and writers to sibling shards proceed in
@@ -1393,12 +1379,10 @@ Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
     entry.side = side;
     entry.entity_id = entity_id;
     entry.record = record;
-    TraceSpan span(s.metrics.stage_wal_append, &timing->wal_append_ms,
-                   stage_sink, "wal_append");
+    RequestStages::Span wal_append(stages, kWalAppendStage);
     LEARNRISK_RETURN_NOT_OK(shard.log->Append(entry));
   }
-  TraceSpan publish_span(s.metrics.stage_publish, &timing->publish_ms,
-                         stage_sink, "publish");
+  RequestStages::Span publish(stages, kPublishStage);
   const std::shared_ptr<const NamespaceSnapshot> cur = LoadShardSnapshot(shard);
   auto next = std::make_shared<NamespaceSnapshot>();
   next->index = cur->index;  // shares posting segments
@@ -1418,15 +1402,12 @@ Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
   std::atomic_store_explicit(&shard.snapshot,
                              std::shared_ptr<const NamespaceSnapshot>(next),
                              std::memory_order_release);
-  publish_span.Stop();
+  publish.Stop();
   if (s.metrics.records_added != nullptr) s.metrics.records_added->Add(1);
-  if (tracing) {
-    // AddRecord has no latency histogram of its own; the trace's total is
-    // the sum of its measured stages plus the bookkeeping around them.
-    const uint64_t total_ns = SteadyNowNs() - start_ns;
-    MaybeCaptureTrace("add_record", ns, timing->request_id, start_ns,
-                      total_ns, std::move(trace_stages), /*candidates=*/0,
-                      nullptr, nullptr, nullptr, nullptr, nullptr);
+  stages.Finish();
+  if (traces_ != nullptr) {
+    MaybeCaptureTrace("add_record", ns, timing->request_id, stages, {},
+                      nullptr, nullptr, nullptr, {});
   }
   if (shard.log != nullptr &&
       options_.durability.wal_checkpoint_threshold > 0 &&

@@ -12,6 +12,7 @@
 #ifndef LEARNRISK_GATEWAY_GATEWAY_H_
 #define LEARNRISK_GATEWAY_GATEWAY_H_
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -412,30 +413,37 @@ class Gateway {
     BlockingIndex index;
   };
 
+  /// \brief The stages a request can cross, in StageTiming's field order;
+  /// indexes NamespaceMetrics::stage_latency and a request's stage list.
+  /// kShardMergeStage is a sub-span of block, timed only when a cross-shard
+  /// merge ran.
+  enum Stage : size_t {
+    kBlockStage, kShardMergeStage, kFeaturizeStage, kClassifyStage,
+    kRiskStage,  kReviewStage,     kWalAppendStage, kPublishStage,
+    kNumStages
+  };
+  /// \brief The read APIs; indexes the per-API request counter and
+  /// latency histogram.
+  enum Api : size_t { kResolveApi, kResolveRecordApi, kNumApis };
+
   /// \brief Per-namespace instrument bundle, cached as raw pointers so the
   /// hot paths record without touching the MetricRegistry. All null when
   /// GatewayOptions::enable_metrics is false — every recording site checks.
   /// Instruments are owned by metric_registry_ and outlive the namespace.
   struct NamespaceMetrics {
-    ShardedCounter* resolve_requests = nullptr;        ///< successful Resolves
-    ShardedCounter* resolve_record_requests = nullptr; ///< successful probes
+    /// Successful requests per read API.
+    std::array<ShardedCounter*, kNumApis> requests{};
     ShardedCounter* pairs_scored = nullptr;
     ShardedCounter* records_added = nullptr;
     ShardedCounter* recoveries = nullptr;
     ShardedCounter* recovered_wal_entries = nullptr;
     ShardedCounter* recovered_wal_bytes_discarded = nullptr;
-    /// Request latency (includes failed requests; counters count successes).
-    LatencyHistogram* resolve_latency = nullptr;
-    LatencyHistogram* resolve_record_latency = nullptr;
-    /// Stage latencies — the histogram twins of StageTiming's fields.
-    LatencyHistogram* stage_block = nullptr;
-    LatencyHistogram* stage_shard_merge = nullptr;  ///< sub-span of block
-    LatencyHistogram* stage_featurize = nullptr;
-    LatencyHistogram* stage_classify = nullptr;
-    LatencyHistogram* stage_risk = nullptr;
-    LatencyHistogram* stage_review = nullptr;
-    LatencyHistogram* stage_wal_append = nullptr;
-    LatencyHistogram* stage_publish = nullptr;
+    /// Request latency per read API (includes failed requests; counters
+    /// count successes).
+    std::array<LatencyHistogram*, kNumApis> request_latency{};
+    /// Stage latencies, fed from each request's stage list (the review
+    /// stage's is null when review is off).
+    std::array<LatencyHistogram*, kNumStages> stage_latency{};
     LatencyHistogram* checkpoint_latency = nullptr;
     LatencyHistogram* recover_latency = nullptr;
     /// Review-loop instruments (docs/REVIEW.md); null when review is off.
@@ -530,37 +538,55 @@ class Gateway {
   /// \brief Picks the shard for the next AddRecord on a side (least-loaded,
   /// lowest index on ties) and claims the slot under route_mu.
   static size_t RouteShard(NamespaceState& state, BlockingSide side);
-  /// \brief Featurized batch -> engine score, shared by Resolve and
-  /// ResolveRecord. Fills scores + the risk-stage timing, and records the
-  /// stage latency / risk-score distribution into `metrics`. `stage_sink`
-  /// (optional) receives the risk stage's TraceStageSpan; `scorer_out`
-  /// (optional) receives the scorer snapshot currently published for the
-  /// namespace, which trace capture uses to recompute rule activations and
-  /// explanations for the top-k riskiest pairs.
-  Status ScoreBatch(const std::string& ns, const NamespaceMetrics& metrics,
-                    const FeaturizedBatch& batch, size_t explain_top_k,
-                    ScoreResponse* scores, StageTiming* timing,
-                    std::vector<TraceStageSpan>* stage_sink = nullptr,
-                    std::shared_ptr<const ScorerSnapshot>* scorer_out =
-                        nullptr);
   /// \brief Checkpoint body for one shard; caller holds that shard's
   /// writer_mu and has verified shard.log is non-null. Shard 0 additionally
   /// persists the review queue (its mutations serialize on the same mutex,
   /// so the snapshot is consistent with the WAL being reset).
   Status CheckpointLocked(const std::string& ns, NamespaceState& s,
                           Shard& shard);
+  /// \brief One request's stage list, each stage timed once; it feeds
+  /// StageTiming, the stage histograms and traces (defined in gateway.cc).
+  class RequestStages;
+
+  /// \brief How a request's scored pairs are keyed in review items and
+  /// traces: Resolve's record pairs, or a probe's candidate ids keyed as
+  /// left = -1 (the probe is no stored record). Empty for AddRecord.
+  struct PairKeys {
+    const std::vector<RecordPair>* pairs = nullptr;  ///< Resolve
+    const std::vector<size_t>* candidates = nullptr; ///< ResolveRecord
+    size_t size() const {
+      return pairs != nullptr ? pairs->size()
+                              : candidates != nullptr ? candidates->size() : 0;
+    }
+    int64_t left(size_t i) const {
+      return pairs != nullptr ? static_cast<int64_t>((*pairs)[i].left) : -1;
+    }
+    int64_t right(size_t i) const {
+      return static_cast<int64_t>(pairs != nullptr ? (*pairs)[i].right
+                                                   : (*candidates)[i]);
+    }
+  };
+
+  /// \brief The body Resolve and ResolveRecord share once blocking has
+  /// produced `keys`: featurize and classify over the pinned `snaps`, score,
+  /// observe drift, rank once for review and trace, enqueue review, then
+  /// end the request (success count, trace capture). `probe` is the
+  /// prepared probe record of a ResolveRecord (null for Resolve) and
+  /// `prepare_ms` its preparation time, counted in the featurize stage.
+  /// Stages land in `stages`; the scores in `scores`.
+  Status ScoreCandidates(
+      Api api, const std::string& ns, NamespaceState& s,
+      const std::vector<std::shared_ptr<const NamespaceSnapshot>>& snaps,
+      const PairKeys& keys, const PreparedRecord* probe, double prepare_ms,
+      size_t explain_top_k, uint64_t request_id, RequestStages& stages,
+      ScoreResponse* scores);
   /// \brief Offers the request's top-budget riskiest decisions (from the
   /// shared `top_risk` order) to the namespace's review queue; durable
-  /// namespaces WAL each offer first under shard 0's writer_mu. Fills
-  /// StageTiming::review_ms. Exactly one of `pairs` / `probe_candidates`
-  /// names the scored pairs (probes key as left = -1).
+  /// namespaces WAL each offer first under shard 0's writer_mu.
   Status EnqueueReview(NamespaceState& s, const FeaturizedBatch& batch,
                        const ScoreResponse& scores, uint64_t request_id,
                        const std::vector<size_t>& top_risk,
-                       const std::vector<RecordPair>* pairs,
-                       const std::vector<size_t>* probe_candidates,
-                       StageTiming* timing,
-                       std::vector<TraceStageSpan>* stage_sink);
+                       const PairKeys& keys);
   /// \brief Get-or-creates the namespace's instrument bundle in
   /// metric_registry_. Only called when enable_metrics is on.
   /// `metric_names` labels the per-column drift histograms (one per metric
@@ -577,24 +603,18 @@ class Gateway {
   uint64_t NextRequestId() {
     return next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  /// \brief Applies the capture policy to a completed request and, when it
-  /// captures, builds the RequestTrace (stages, counts, top-k riskiest
-  /// decisions with activations + explanations) and pushes it into the
-  /// ring. `batch`/`scores`/`scorer` may be null (AddRecord traces carry no
-  /// decisions); `pairs` xor `candidates` names the scored pairs.
-  /// `top_risk`, when non-null and long enough, is the request's shared
-  /// risk-descending index order (one top-k pass feeds both this capture
-  /// and EnqueueReview); null = compute locally.
+  /// \brief Applies the capture policy to a finished request and, when it
+  /// captures, builds the RequestTrace (the stage list, counts, top-k
+  /// riskiest decisions with activations + explanations) and pushes it into
+  /// the ring. `top_risk` is the request's shared risk-descending ranking
+  /// (at least trace.top_k long when it can be); `batch`/`scores`/`scorer`
+  /// may be null when it is empty (AddRecord traces carry no decisions).
   void MaybeCaptureTrace(const char* api, const std::string& ns,
-                         uint64_t request_id, uint64_t start_ns,
-                         uint64_t total_ns,
-                         std::vector<TraceStageSpan> stages,
-                         size_t candidates, const FeaturizedBatch* batch,
+                         uint64_t request_id, const RequestStages& stages,
+                         const PairKeys& keys, const FeaturizedBatch* batch,
                          const ScoreResponse* scores,
                          const std::shared_ptr<const ScorerSnapshot>& scorer,
-                         const std::vector<RecordPair>* pairs,
-                         const std::vector<size_t>* probe_candidates,
-                         const std::vector<size_t>* top_risk = nullptr);
+                         const std::vector<size_t>& top_risk);
 
   GatewayOptions options_;
   /// Owns every instrument; declared before registry_ so the raw instrument

@@ -225,11 +225,6 @@ uint64_t TraceSpan::Stop() {
           std::chrono::steady_clock::now() - start_)
           .count());
   if (histogram_ != nullptr) histogram_->Record(elapsed_ns_);
-  const double ms = static_cast<double>(elapsed_ns_) / 1e6;
-  if (out_ms_ != nullptr) *out_ms_ = ms;
-  if (trace_stages_ != nullptr) {
-    trace_stages_->push_back(TraceStageSpan{stage_, ms});
-  }
   return elapsed_ns_;
 }
 

@@ -18,8 +18,7 @@
 //  - ValueHistogram: 64 linear buckets over [0, 1] (risk scores), recorded
 //    in fixed-point micro-units so the snapshot side is integer-exact.
 //  - TraceSpan: RAII span that records its elapsed wall-clock nanoseconds
-//    into a LatencyHistogram (and optionally a double-milliseconds slot,
-//    so StageTiming and the histograms are fed by the same measurement).
+//    into a LatencyHistogram.
 
 #ifndef LEARNRISK_OBS_METRICS_H_
 #define LEARNRISK_OBS_METRICS_H_
@@ -236,33 +235,13 @@ class ValueHistogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// \brief One named stage measurement inside a request-scoped trace (see
-/// obs/trace.h). `stage` is expected to be a string literal ("block",
-/// "featurize", ...) so spans stay allocation-free.
-struct TraceStageSpan {
-  const char* stage = "";
-  double ms = 0.0;
-};
-
-/// \brief RAII trace span: starts a wall clock on construction and records
-/// the elapsed nanoseconds into `histogram` (when non-null) on destruction
-/// or Stop(), optionally also writing elapsed milliseconds to `out_ms` —
-/// one measurement feeding both the per-request StageTiming and the
-/// namespace histograms, so the two always agree on stage boundaries. A
-/// third out-channel (`trace_stages` + `stage`) appends the same
-/// measurement to a request-scoped trace's stage list, so captured
-/// RequestTraces, StageTiming, and the aggregate histograms can never
-/// disagree on what a stage cost.
+/// \brief RAII span: starts a wall clock on construction and records the
+/// elapsed nanoseconds into `histogram` (when non-null) on destruction or
+/// Stop().
 class TraceSpan {
  public:
-  explicit TraceSpan(LatencyHistogram* histogram, double* out_ms = nullptr,
-                     std::vector<TraceStageSpan>* trace_stages = nullptr,
-                     const char* stage = "")
-      : histogram_(histogram),
-        out_ms_(out_ms),
-        trace_stages_(trace_stages),
-        stage_(stage),
-        start_(std::chrono::steady_clock::now()) {}
+  explicit TraceSpan(LatencyHistogram* histogram)
+      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() { Stop(); }
@@ -273,9 +252,6 @@ class TraceSpan {
 
  private:
   LatencyHistogram* histogram_;
-  double* out_ms_;
-  std::vector<TraceStageSpan>* trace_stages_;
-  const char* stage_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
   uint64_t elapsed_ns_ = 0;

@@ -22,6 +22,13 @@
 
 namespace learnrisk {
 
+/// \brief One named stage measurement inside a request trace. `stage` is
+/// expected to be a string literal ("block", "featurize", ...).
+struct TraceStageSpan {
+  const char* stage = "";
+  double ms = 0.0;
+};
+
 /// \brief One weighted rule contribution inside a traced decision's
 /// explanation — a plain copy of the serving layer's RiskContribution so
 /// traces stay self-contained (no dependency on src/risk from src/obs).
@@ -49,8 +56,9 @@ struct TracedDecision {
 };
 
 /// \brief A completed request's trace: id, API, namespace, model version,
-/// stage spans (same measurements that feed StageTiming and the latency
-/// histograms), candidate/pair counts, and the top-k riskiest decisions.
+/// stage spans (a copy of the request's stage list, which also feeds
+/// StageTiming and the stage histograms), candidate/pair counts, and the
+/// top-k riskiest decisions.
 /// Immutable once published to the TraceBuffer — scrapers share it by
 /// shared_ptr<const RequestTrace> and never see a partially built trace.
 struct RequestTrace {

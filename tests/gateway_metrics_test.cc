@@ -1,7 +1,8 @@
 // Copyright 2026 The LearnRisk Authors
 // End-to-end telemetry tests for the gateway: Resolve / ResolveRecord
 // populate the per-namespace request counters, stage-latency histograms, and
-// risk-score distribution; AddRecord on a durable namespace fills the
+// risk-score distribution (a request that fails still records its latency
+// and the stages it crossed, but no success count); AddRecord on a durable namespace fills the
 // StageTiming wal_append/publish stages and the WAL volume counters; the
 // registry's LRU machinery (hits, reloads, spills, evictions) reports
 // through the same snapshot; recovery counts replayed WAL entries; and
@@ -170,6 +171,55 @@ TEST(GatewayMetricsTest, ResolvePopulatesCountersAndStageHistograms) {
   // Counters are monotone across snapshots (the exporters' contract).
   EXPECT_GE(CounterValue(snap2, "learnrisk_gateway_pairs_scored_total"),
             CounterValue(snap, "learnrisk_gateway_pairs_scored_total"));
+}
+
+TEST(GatewayMetricsTest, FailedRequestsRecordLatencyAndCrossedStages) {
+  const SharedSetup& s = Shared();
+  Gateway gateway;
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+  // No Publish: both read APIs block and featurize, then fail at scoring.
+
+  auto latency_count = [](const MetricsSnapshot& snap, const char* api) {
+    const HistogramSnapshot* h =
+        snap.FindHistogram("learnrisk_gateway_request_latency_seconds",
+                           {{"api", api}, {"namespace", "ds"}});
+    EXPECT_NE(h, nullptr) << api;
+    return h == nullptr ? 0 : h->count;
+  };
+  ResolveRequest request;
+  request.block_all = true;
+  Result<ResolveResponse> resolve = gateway.Resolve("ds", request);
+  ASSERT_FALSE(resolve.ok());
+  EXPECT_TRUE(resolve.status().IsFailedPrecondition())
+      << resolve.status().ToString();
+  MetricsSnapshot snap = gateway.MetricsSnapshot();
+  EXPECT_EQ(latency_count(snap, "resolve"), 1u);
+  EXPECT_EQ(latency_count(snap, "resolve_record"), 0u);
+  for (const char* stage : {"block", "featurize", "classify"}) {
+    EXPECT_EQ(StageCount(snap, stage), 1u) << stage;
+  }
+  EXPECT_EQ(StageCount(snap, "risk"), 0u);
+
+  Result<ProbeResponse> probed =
+      gateway.ResolveRecord("ds", s.workload.left().record(0));
+  ASSERT_FALSE(probed.ok());
+  EXPECT_TRUE(probed.status().IsFailedPrecondition())
+      << probed.status().ToString();
+  snap = gateway.MetricsSnapshot();
+  EXPECT_EQ(latency_count(snap, "resolve"), 1u);
+  EXPECT_EQ(latency_count(snap, "resolve_record"), 1u);
+  for (const char* stage : {"block", "featurize", "classify"}) {
+    EXPECT_EQ(StageCount(snap, stage), 2u) << stage;
+  }
+  EXPECT_EQ(StageCount(snap, "risk"), 0u);
+
+  // Counters count successes only.
+  for (const char* api : {"resolve", "resolve_record"}) {
+    EXPECT_EQ(CounterValue(snap, "learnrisk_gateway_requests_total",
+                           {{"api", api}, {"namespace", "ds"}}),
+              0u)
+        << api;
+  }
 }
 
 TEST(GatewayMetricsTest, DurableAddRecordFillsTimingAndWalCounters) {

@@ -5,7 +5,9 @@
 // in RecentTraces() with the right flags; a captured trace's stages are the
 // same measurements StageTiming saw, its decision list is the top-k by
 // risk with rule activations and explanations; AddRecord traces carry the
-// durability stages; tracing works with aggregate metrics off and is fully
+// durability stages; every API's trace spans, StageTiming fields and stage
+// histograms carry one measurement per crossed stage (shard_merge only when
+// a cross-shard merge ran); tracing works with aggregate metrics off and is fully
 // absent when disabled; and ExportTracesJson renders the documented schema.
 
 #include <gtest/gtest.h>
@@ -80,6 +82,63 @@ bool HasStage(const RequestTrace& trace, const std::string& stage) {
     if (stage == span.stage) return true;
   }
   return false;
+}
+
+// Every stage a request can cross, with the StageTiming field carrying it.
+struct StageField {
+  const char* stage;
+  double StageTiming::*field;
+};
+constexpr StageField kStageFields[] = {
+    {"block", &StageTiming::blocking_ms},
+    {"shard_merge", &StageTiming::shard_merge_ms},
+    {"featurize", &StageTiming::featurize_ms},
+    {"classify", &StageTiming::classify_ms},
+    {"risk", &StageTiming::score_ms},
+    {"review", &StageTiming::review_ms},
+    {"wal_append", &StageTiming::wal_append_ms},
+    {"publish", &StageTiming::publish_ms},
+};
+
+uint64_t StageCount(const MetricsSnapshot& snap, const char* stage) {
+  const HistogramSnapshot* h =
+      snap.FindHistogram("learnrisk_gateway_stage_latency_seconds",
+                         {{"namespace", "ds"}, {"stage", stage}});
+  return h == nullptr ? 0 : h->count;
+}
+
+const RequestTrace* FindTrace(const Gateway& gateway, uint64_t request_id) {
+  for (const auto& trace : gateway.RecentTraces()) {
+    if (trace->request_id == request_id) return trace.get();
+  }
+  return nullptr;
+}
+
+// Same measurement on every channel: each trace span's ms is the exact
+// double its StageTiming field carries, and each stage the request crossed
+// added exactly one sample to its stage histogram between `before` and
+// `after` (a stage it did not cross added none).
+void ExpectChannelsAgree(const RequestTrace& trace, const StageTiming& timing,
+                         const MetricsSnapshot& before,
+                         const MetricsSnapshot& after) {
+  for (const TraceStageSpan& span : trace.stages) {
+    bool known = false;
+    for (const StageField& f : kStageFields) {
+      known = known || std::string(span.stage) == f.stage;
+    }
+    EXPECT_TRUE(known) << span.stage;
+  }
+  for (const StageField& f : kStageFields) {
+    uint64_t spans = 0;
+    for (const TraceStageSpan& span : trace.stages) {
+      if (std::string(span.stage) != f.stage) continue;
+      ++spans;
+      EXPECT_DOUBLE_EQ(span.ms, timing.*f.field) << f.stage;
+    }
+    EXPECT_LE(spans, 1u) << f.stage;
+    EXPECT_EQ(StageCount(after, f.stage) - StageCount(before, f.stage), spans)
+        << f.stage;
+  }
 }
 
 TEST(GatewayTraceTest, RequestIdsMonotoneAcrossApis) {
@@ -254,6 +313,7 @@ TEST(GatewayTraceTest, AddRecordTraceCarriesDurabilityStages) {
   Gateway gateway(options);
   ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
 
+  const MetricsSnapshot before = gateway.MetricsSnapshot();
   StageTiming timing;
   ASSERT_TRUE(gateway
                   .AddRecord("ds", BlockingSide::kLeft,
@@ -268,16 +328,125 @@ TEST(GatewayTraceTest, AddRecordTraceCarriesDurabilityStages) {
   EXPECT_TRUE(trace.top_risky.empty());
   EXPECT_TRUE(HasStage(trace, "wal_append"));
   EXPECT_TRUE(HasStage(trace, "publish"));
-  // Same measurement on both channels: the trace's stage values are the
-  // exact doubles StageTiming carries.
-  for (const TraceStageSpan& span : trace.stages) {
-    if (std::string(span.stage) == "wal_append") {
-      EXPECT_DOUBLE_EQ(span.ms, timing.wal_append_ms);
-    }
-    if (std::string(span.stage) == "publish") {
-      EXPECT_DOUBLE_EQ(span.ms, timing.publish_ms);
-    }
+  ExpectChannelsAgree(trace, timing, before, gateway.MetricsSnapshot());
+}
+
+TEST(GatewayTraceTest, ReadPathStagesAgreeAcrossChannels) {
+  const SharedSetup& s = Shared();
+  GatewayOptions options;
+  options.trace.sample_every = 1;
+  Gateway gateway(options);
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+
+  ResolveRequest request;
+  request.block_all = true;
+  MetricsSnapshot before = gateway.MetricsSnapshot();
+  Result<ResolveResponse> resolve = gateway.Resolve("ds", request);
+  ASSERT_TRUE(resolve.ok());
+  const RequestTrace* trace = FindTrace(gateway, resolve->request_id);
+  ASSERT_NE(trace, nullptr);
+  for (const char* stage : {"block", "featurize", "classify", "risk"}) {
+    EXPECT_TRUE(HasStage(*trace, stage)) << stage;
   }
+  ExpectChannelsAgree(*trace, resolve->timing, before,
+                      gateway.MetricsSnapshot());
+
+  before = gateway.MetricsSnapshot();
+  Result<ProbeResponse> probed =
+      gateway.ResolveRecord("ds", s.workload.left().record(0));
+  ASSERT_TRUE(probed.ok());
+  trace = FindTrace(gateway, probed->request_id);
+  ASSERT_NE(trace, nullptr);
+  for (const char* stage : {"block", "featurize", "classify", "risk"}) {
+    EXPECT_TRUE(HasStage(*trace, stage)) << stage;
+  }
+  ExpectChannelsAgree(*trace, probed->timing, before,
+                      gateway.MetricsSnapshot());
+}
+
+TEST(GatewayTraceTest, ShardedResolveStagesAgreeAcrossChannels) {
+  const SharedSetup& s = Shared();
+  GatewayOptions options;
+  options.trace.sample_every = 1;
+  Gateway gateway(options);
+  NamespaceSpec spec = BaseSpec();
+  spec.shards = 3;
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", spec).ok());
+  ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+
+  ResolveRequest request;
+  request.block_all = true;
+  const MetricsSnapshot before = gateway.MetricsSnapshot();
+  Result<ResolveResponse> resolve = gateway.Resolve("ds", request);
+  ASSERT_TRUE(resolve.ok());
+  const RequestTrace* trace = FindTrace(gateway, resolve->request_id);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_TRUE(HasStage(*trace, "shard_merge"));
+  ExpectChannelsAgree(*trace, resolve->timing, before,
+                      gateway.MetricsSnapshot());
+}
+
+TEST(GatewayTraceTest, ReviewResolveStagesAgreeAcrossChannels) {
+  const SharedSetup& s = Shared();
+  GatewayOptions options;
+  options.trace.sample_every = 1;
+  options.review.enabled = true;
+  Gateway gateway(options);
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+
+  ResolveRequest request;
+  request.block_all = true;
+  const MetricsSnapshot before = gateway.MetricsSnapshot();
+  Result<ResolveResponse> resolve = gateway.Resolve("ds", request);
+  ASSERT_TRUE(resolve.ok());
+  const RequestTrace* trace = FindTrace(gateway, resolve->request_id);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_TRUE(HasStage(*trace, "review"));
+  ExpectChannelsAgree(*trace, resolve->timing, before,
+                      gateway.MetricsSnapshot());
+}
+
+TEST(GatewayTraceTest, ShardMergeRecordedOnlyWhenMergeRuns) {
+  const SharedSetup& s = Shared();
+  GatewayOptions options;
+  options.trace.sample_every = 1;
+  Gateway gateway(options);
+  NamespaceSpec spec = BaseSpec();
+  spec.shards = 3;
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", spec).ok());
+  ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+
+  // Explicit pairs skip blocking altogether: no merge ran, so neither the
+  // trace nor the histogram may carry a (zero) shard_merge measurement.
+  ResolveRequest explicit_pairs;
+  explicit_pairs.pairs = {{0, 0, false}, {1, 2, false}};
+  Result<ResolveResponse> resolve = gateway.Resolve("ds", explicit_pairs);
+  ASSERT_TRUE(resolve.ok());
+  const RequestTrace* trace = FindTrace(gateway, resolve->request_id);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_FALSE(HasStage(*trace, "shard_merge"));
+  EXPECT_EQ(resolve->timing.shard_merge_ms, 0.0);
+  EXPECT_EQ(StageCount(gateway.MetricsSnapshot(), "shard_merge"), 0u);
+
+  ResolveRequest block_all;
+  block_all.block_all = true;
+  resolve = gateway.Resolve("ds", block_all);
+  ASSERT_TRUE(resolve.ok());
+  trace = FindTrace(gateway, resolve->request_id);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_TRUE(HasStage(*trace, "shard_merge"));
+  EXPECT_EQ(StageCount(gateway.MetricsSnapshot(), "shard_merge"), 1u);
+
+  // A sharded probe merges the per-shard candidate lists.
+  Result<ProbeResponse> probed =
+      gateway.ResolveRecord("ds", s.workload.left().record(0));
+  ASSERT_TRUE(probed.ok());
+  trace = FindTrace(gateway, probed->request_id);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_TRUE(HasStage(*trace, "shard_merge"));
+  EXPECT_EQ(StageCount(gateway.MetricsSnapshot(), "shard_merge"), 2u);
 }
 
 TEST(GatewayTraceTest, TracingWorksWithMetricsDisabled) {

@@ -4,6 +4,7 @@
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -101,6 +102,15 @@ TEST(ParallelForTest, RangeVariantCoversAllIndices) {
   });
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
   EXPECT_GE(ParallelConcurrency(), 1u);
+}
+
+TEST(ParallelForTest, ConcurrencyFollowsAffinityMask) {
+  // The pool is sized from the CPUs this process may run on, not the host's
+  // hardware thread count (the two differ under taskset or a cpuset).
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(ParallelConcurrency(), static_cast<size_t>(CPU_COUNT(&set)));
 }
 
 TEST(ParallelForTest, ResultsMatchSerialComputation) {
