@@ -3,8 +3,8 @@
 // the paper's loop (Sec. 1, 7.4). A batch of LabeledReview items — each
 // carrying its metric feature row, classifier probability, and human truth —
 // is turned into a RiskActivation against the *serving* model's rule set,
-// and the serving parameters are tuned in place on the trainer's analytic
-// fast path (RiskModel::RiskScoreBatch, no tape). Deterministic in the
+// and the serving parameters are tuned in place by the trainer's analytic
+// gradient (RiskModel::RiskScoreBatch). Deterministic in the
 // trainer seed: identical labels + identical serving model => bit-identical
 // per-epoch losses and parameters.
 
@@ -46,7 +46,7 @@ struct IncrementalRetrainOutput {
 };
 
 /// \brief Tunes a copy of `serving_model` so the labels' mislabeled pairs
-/// rank above the correct ones (trainer fast path). With fewer than one
+/// rank above the correct ones (RiskTrainer). With fewer than one
 /// mislabeled or one correct label the model is returned at the serving
 /// prior (the trainer's documented small-sample behavior). InvalidArgument
 /// when labels are empty or their feature rows disagree in width.

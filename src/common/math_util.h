@@ -89,11 +89,10 @@ inline double Clamp(double x, double lo, double hi) {
   return std::min(std::max(x, lo), hi);
 }
 
-/// \brief Division guard shared by the autodiff tape and the analytic
-/// batch-scoring fast path: clamps the denominator's magnitude to 1e-300
+/// \brief Division guard of the batched risk scorer
+/// (RiskModel::RiskScoreBatch): clamps the denominator's magnitude to 1e-300
 /// (sign preserved) so a degenerate divisor yields a huge but finite
-/// quotient instead of a NaN/inf. The two consumers must stay bit-identical
-/// for the documented tape/analytic parity, which is why this lives here.
+/// quotient instead of a NaN/inf.
 inline double SafeDenominator(double b) {
   if (std::fabs(b) >= 1e-300) return b;
   return std::signbit(b) ? -1e-300 : 1e-300;

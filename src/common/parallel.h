@@ -27,10 +27,10 @@
 namespace learnrisk {
 
 /// \brief Runs fn(begin, end) over disjoint chunks covering [0, n), across
-/// the persistent pool (num_threads = 0 uses all hardware threads; any value
-/// is clamped to the pool size). fn must be safe to invoke concurrently for
-/// disjoint ranges. Small n (or num_threads == 1, or a nested call) runs
-/// fn(0, n) serially on the caller.
+/// the persistent pool (num_threads = 0 uses all threads in the affinity
+/// mask; any value is clamped to the pool size). fn must be safe to invoke
+/// concurrently for disjoint ranges. Small n (or num_threads == 1, or a
+/// nested call) runs fn(0, n) serially on the caller.
 void ParallelForRange(size_t n, const std::function<void(size_t, size_t)>& fn,
                       size_t num_threads = 0);
 

@@ -34,8 +34,9 @@ std::string SerializeRiskModel(const RiskModel& model,
         << ' ' << trainer->l1 << ' ' << trainer->l2 << ' '
         << trainer->max_mislabeled_per_epoch << ' '
         << trainer->max_correct_per_epoch << ' ' << trainer->max_rank_pairs
-        << ' ' << (trainer->use_adam ? 1 : 0) << ' '
-        << (trainer->use_tape ? 1 : 0) << ' ' << trainer->seed << '\n';
+        << ' ' << (trainer->use_adam ? 1 : 0)
+        << " 0 "  // retired use_tape slot, kept so the format is unchanged
+        << trainer->seed << '\n';
   }
   out << "params " << model.alpha_raw() << ' ' << model.beta_raw() << '\n';
   out << "phi_out";
@@ -105,14 +106,13 @@ Result<RiskModel> DeserializeRiskModel(const std::string& text,
     } else if (tag == "trainer") {
       RiskTrainerOptions trainer;
       int use_adam = 1;
-      int use_tape = 0;
+      int retired_use_tape = 0;  // read and discarded (see model_io.h)
       ls >> trainer.epochs >> trainer.learning_rate >> trainer.l1 >>
           trainer.l2 >> trainer.max_mislabeled_per_epoch >>
           trainer.max_correct_per_epoch >> trainer.max_rank_pairs >>
-          use_adam >> use_tape >> trainer.seed;
+          use_adam >> retired_use_tape >> trainer.seed;
       if (!ls) return Status::InvalidArgument("malformed trainer line");
       trainer.use_adam = use_adam != 0;
-      trainer.use_tape = use_tape != 0;
       if (trainer_out != nullptr) *trainer_out = trainer;
     } else if (tag == "params") {
       ls >> alpha_raw >> beta_raw;

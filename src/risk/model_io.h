@@ -8,11 +8,16 @@
 //   learnrisk-model v1
 //   options <var_confidence> <metric> <rsd_max> <output_buckets> <use_out>
 //   trainer <epochs> <lr> <l1> <l2> <max_mis> <max_cor> <max_pairs>
-//           <use_adam> <use_tape> <seed>          (optional provenance)
+//           <use_adam> 0 <seed>                   (optional provenance)
 //   params <alpha_raw> <beta_raw>
 //   phi_out <b0> <b1> ...
 //   rule <label> <support> <match_rate> <impurity> <expectation>
 //        <train_support> <theta> <phi> <npreds> {<metric> <name> <gt> <thr>}*
+//   end
+//
+// The trainer record's `0` is the slot of the retired use_tape flag. Writers
+// emit 0, which older versions wrote for the default trainer, so payloads
+// stay byte-identical; readers accept any integer there and ignore it.
 
 #ifndef LEARNRISK_RISK_MODEL_IO_H_
 #define LEARNRISK_RISK_MODEL_IO_H_

@@ -21,7 +21,7 @@ double Logit(double p) {
 
 /// Per-batch precomputed parameter transforms, shared by every pair: one
 /// softplus/sigmoid per rule and bucket for the whole batch instead of one
-/// per (pair, rule) tape node.
+/// per (pair, rule).
 struct BatchContext {
   double alpha = 0.0;
   double safe_alpha = 0.0;  ///< SafeDenominator(alpha), hoisted per batch
@@ -145,7 +145,7 @@ std::vector<double> RiskModel::Score(const RiskActivation& activation) const {
 
 void RiskModel::RiskScoreBatch(const RiskActivation& activation,
                                const std::vector<size_t>& indices,
-                               BatchScore* out, size_t num_threads) const {
+                               BatchScore* out) const {
   const size_t n = indices.size();
   out->num_params = num_params();
   out->value.resize(n);
@@ -158,12 +158,9 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
   // below writing every jacobian row into its final slice in place.
   out->offset.resize(n + 1);
   out->offset[0] = 0;
-  ParallelFor(
-      n,
-      [&](size_t k) {
-        out->offset[k + 1] = activation.active[indices[k]].size();
-      },
-      num_threads);
+  ParallelFor(n, [&](size_t k) {
+    out->offset[k + 1] = activation.active[indices[k]].size();
+  });
   for (size_t k = 0; k < n; ++k) out->offset[k + 1] += out->offset[k];
   const size_t nnz = out->offset[n];
   out->rule.resize(nnz);
@@ -207,7 +204,7 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
         const std::vector<uint32_t>& active = activation.active[i];
         const uint8_t label = activation.machine_label[i];
 
-        // --- Forward pass: the exact arithmetic of RiskScoreOnTape. -------
+        // --- Forward pass (the per-metric surrogate, see risk_model.h). ----
         const bool with_output =
             options_.use_classifier_feature || active.empty();
         const double x = Clamp(activation.classifier_output[i], 0.0, 1.0);
@@ -236,7 +233,7 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
 
         // --- Reverse chain collapsed to a linear functional: ---------------
         //   d value = c_mu * d mu + c_sigma * d sigma
-        // with the tape's exact sub-gradient conventions (clamp kinks give
+        // with the documented sub-gradient conventions (clamp kinks give
         // zero, the quantile's input clamp passes gradient through).
         double value = 0.0;
         double c_mu = 0.0;
@@ -312,8 +309,7 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
         out->dbucket[k] =
             c_V * (w_out * w_out) * 2.0 * sigma_out *
             (ctx.s_out[bucket] * (1.0 - ctx.s_out[bucket]) * rsd_max * x);
-      },
-      num_threads);
+      });
 }
 
 std::vector<RiskContribution> RiskModel::Explain(
@@ -345,67 +341,6 @@ std::vector<RiskContribution> RiskModel::Explain(
                    });
   if (contributions.size() > top_k) contributions.resize(top_k);
   return contributions;
-}
-
-RiskModel::TapeParams RiskModel::MakeTapeParams(Tape* tape) const {
-  TapeParams params;
-  params.theta.reserve(theta_.size());
-  for (double t : theta_) params.theta.push_back(tape->Variable(t));
-  params.phi.reserve(phi_.size());
-  for (double p : phi_) params.phi.push_back(tape->Variable(p));
-  params.alpha_raw = tape->Variable(alpha_raw_);
-  params.beta_raw = tape->Variable(beta_raw_);
-  params.phi_out.reserve(phi_out_.size());
-  for (double p : phi_out_) params.phi_out.push_back(tape->Variable(p));
-  return params;
-}
-
-Var RiskModel::RiskScoreOnTape(Tape* tape, const TapeParams& params,
-                               const std::vector<uint32_t>& active_rules,
-                               double classifier_output,
-                               uint8_t machine_label) const {
-  // Classifier-output feature.
-  const bool with_output =
-      options_.use_classifier_feature || active_rules.empty();
-  const double x = Clamp(classifier_output, 0.0, 1.0);
-  Var alpha = SoftplusV(params.alpha_raw);
-  Var beta = SoftplusV(params.beta_raw);
-  Var z = (tape->Constant(x) - 0.5) / alpha;
-  Var w_out = (-Exp(-0.5 * (z * z)) + beta + 1.0) * (with_output ? 1.0 : 0.0);
-  Var rsd_out = options_.rsd_max * SigmoidV(params.phi_out[OutputBucket(x)]);
-  Var sigma_out = rsd_out * x;
-
-  Var weight_sum = w_out;
-  Var mu_acc = w_out * x;
-  Var var_acc = Square(w_out) * Square(sigma_out);
-  for (uint32_t j : active_rules) {
-    Var w = SoftplusV(params.theta[j]);
-    const double mu = features_.expectation(j);
-    Var sigma = (options_.rsd_max * SigmoidV(params.phi[j])) * mu;
-    weight_sum = weight_sum + w;
-    mu_acc = mu_acc + w * mu;
-    var_acc = var_acc + Square(w) * Square(sigma);
-  }
-  Var mu = mu_acc / weight_sum;
-  Var sigma = Sqrt(var_acc) / weight_sum + kSigmaFloor;
-
-  if (options_.metric == RiskMetric::kExpectation) {
-    // Ablation path: rank by the distribution mean only (no fluctuation
-    // term). kCVaR trains against the VaR surrogate, which shares its
-    // optimum ranking.
-    return machine_label == 0 ? mu : 1.0 - mu;
-  }
-
-  // Truncated-normal quantile on tape:
-  //   F^{-1}(p) = mu + sigma * Phi^{-1}(Phi(a) + p (Phi(b) - Phi(a))).
-  const double theta = options_.var_confidence;
-  const double p = machine_label == 0 ? theta : 1.0 - theta;
-  Var ca = NormalCdfV((0.0 - mu) / sigma);
-  Var cb = NormalCdfV((1.0 - mu) / sigma);
-  Var u = ca + p * (cb - ca);
-  Var quantile = ClampV(mu + sigma * NormalQuantileV(u), 0.0, 1.0);
-  if (machine_label == 0) return quantile;
-  return 1.0 - quantile;
 }
 
 void RiskModel::ApplyUpdate(const std::vector<double>& theta,

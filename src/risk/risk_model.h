@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "autodiff/tape.h"
 #include "common/status.h"
 #include "risk/risk_feature.h"
 
@@ -97,7 +96,7 @@ class RiskModel {
       const std::vector<uint32_t>& active_rules, double classifier_output,
       size_t top_k = 5) const;
 
-  // --- Batched analytic scoring (the trainer's fast path) ------------------
+  // --- Batched scoring with Jacobians (used by the trainer) ----------------
 
   /// \brief Flat parameter layout used by RiskScoreBatch jacobians and the
   /// trainer's gradient vectors:
@@ -152,33 +151,22 @@ class RiskModel {
     }
   };
 
-  /// \brief Evaluates `RiskScoreOnTape`'s exact arithmetic in closed form for
-  /// every pair in `indices` — same values, same sub-gradient conventions —
-  /// but without recording any tape nodes. Chunk-parallel over pairs.
+  /// \brief Risk score and closed-form parameter Jacobian of every pair in
+  /// `indices`, chunk-parallel over pairs. The value is the metric's
+  /// differentiable training surrogate:
+  ///   * kVaR: the VaR itself, equal to RiskScore.
+  ///   * kCVaR: the VaR surrogate, which shares CVaR's optimum ranking, so
+  ///     it equals RiskScore of the same model with metric = kVaR.
+  ///   * kExpectation: the untruncated portfolio mean, Distribution().mu,
+  ///     or 1 - mu when the machine label is 1.
+  /// Sub-gradient conventions: the clamp of the quantile to [0, 1] passes
+  /// zero gradient outside (0, 1), the quantile's input clamp passes the
+  /// gradient through, and divisors go through SafeDenominator.
   void RiskScoreBatch(const RiskActivation& activation,
-                      const std::vector<size_t>& indices, BatchScore* out,
-                      size_t num_threads = 0) const;
+                      const std::vector<size_t>& indices,
+                      BatchScore* out) const;
 
-  // --- Differentiable scoring (used by the trainer) ------------------------
-
-  /// \brief Handles to the model parameters re-created on a tape.
-  struct TapeParams {
-    std::vector<Var> theta;  ///< raw rule weights
-    std::vector<Var> phi;    ///< raw rule RSDs
-    Var alpha_raw;
-    Var beta_raw;
-    std::vector<Var> phi_out;  ///< raw per-bucket output RSDs
-  };
-
-  /// \brief Registers all parameters as tape variables.
-  TapeParams MakeTapeParams(Tape* tape) const;
-
-  /// \brief Records the risk score of one pair on the tape.
-  Var RiskScoreOnTape(Tape* tape, const TapeParams& params,
-                      const std::vector<uint32_t>& active_rules,
-                      double classifier_output, uint8_t machine_label) const;
-
-  /// \brief Writes gradients-descended raw parameters back from tape values.
+  /// \brief Overwrites the raw parameters (the trainer's update step).
   void ApplyUpdate(const std::vector<double>& theta,
                    const std::vector<double>& phi, double alpha_raw,
                    double beta_raw, const std::vector<double>& phi_out);

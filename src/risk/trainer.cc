@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "autodiff/tape.h"
 #include "common/math_util.h"
 #include "common/timer.h"
 
@@ -45,8 +43,7 @@ void GdStep(std::vector<double>* params, const std::vector<double>& grads,
 
 /// One epoch's sampled rank pairs. `indices` lists the global activation
 /// indices to score (the mislabeled block first, then the correct block);
-/// `pairs` holds (mislabeled, correct) positions into that list. Both paths
-/// draw from the RNG in the same order, so seeded runs are comparable.
+/// `pairs` holds (mislabeled, correct) positions into that list.
 struct EpochSample {
   std::vector<size_t> indices;
   size_t num_mis = 0;
@@ -145,19 +142,17 @@ void ScatterParams(const std::vector<double>& params, RiskModel* model) {
                      params[model->beta_offset()], phi_out);
 }
 
-/// Analytic fast path (the default): one batched forward/Jacobian pass, the
-/// rank loss gradient in closed form, then a Jacobian-transpose multiply.
-/// No tape nodes are recorded.
+/// One epoch: a batched forward/Jacobian pass, the rank loss gradient in
+/// closed form, then a Jacobian-transpose multiply.
 double FastEpoch(RiskModel* model, const RiskActivation& data,
                  const EpochSample& sample, const RiskTrainerOptions& options,
                  RiskModel::BatchScore* batch, std::vector<double>* coef,
                  std::vector<double>* grad) {
-  model->RiskScoreBatch(data, sample.indices, batch, options.num_threads);
+  model->RiskScoreBatch(data, sample.indices, batch);
 
-  // Rank loss (Eq. 15): mean softplus(gamma_cor - gamma_mis), summed in the
-  // same pair order as the tape path so the values agree bit-for-bit.
+  // Rank loss (Eq. 15): mean softplus(gamma_cor - gamma_mis) in pair order.
   // Softplus and its sigmoid derivative share one exp(-|t|) (the same
-  // branches math_util takes, so the loss stays bit-identical).
+  // branches math_util's Softplus takes, so the loss stays bit-identical).
   const double n_pairs = static_cast<double>(sample.pairs.size());
   coef->assign(sample.indices.size(), 0.0);
   double loss = 0.0;
@@ -196,9 +191,9 @@ double FastEpoch(RiskModel* model, const RiskActivation& data,
     (*grad)[phi_out + batch->bucket[k]] += c * batch->dbucket[k];
   }
 
-  // L1 + L2 on the effective rule weights, in closed form. The tape path's
-  // Abs sub-gradient is 0 at exactly 0; softplus weights are positive, so
-  // the sign term is 1 whenever the weight hasn't underflowed.
+  // L1 + L2 on the effective rule weights, in closed form. The |w|
+  // sub-gradient is 0 at exactly 0; softplus weights are positive, so the
+  // sign term is 1 whenever the weight hasn't underflowed.
   if (options.l1 > 0.0 || options.l2 > 0.0) {
     for (size_t j = 0; j < model->num_rules(); ++j) {
       const double theta_j = model->theta()[j];
@@ -211,94 +206,6 @@ double FastEpoch(RiskModel* model, const RiskActivation& data,
   return loss;
 }
 
-/// Original tape path, kept behind options.use_tape for parity testing. The
-/// parameter leaves are recorded once; each epoch rewinds to the checkpoint,
-/// refreshes the leaf values, and re-records only the loss subgraph.
-class TapeTrainer {
- public:
-  TapeTrainer(const RiskModel& model, size_t reserve_hint) {
-    tape_.Reserve(reserve_hint);
-    params_ = model.MakeTapeParams(&tape_);
-    mark_ = tape_.Checkpoint();
-  }
-
-  double RunEpoch(const RiskModel& model, const RiskActivation& data,
-                  const std::vector<double>& flat_params,
-                  const EpochSample& sample,
-                  const RiskTrainerOptions& options,
-                  std::vector<double>* grad) {
-    const size_t num_rules = model.num_rules();
-    tape_.Rewind(mark_);
-    for (size_t j = 0; j < num_rules; ++j) {
-      tape_.SetValue(params_.theta[j], flat_params[j]);
-      tape_.SetValue(params_.phi[j], flat_params[num_rules + j]);
-    }
-    tape_.SetValue(params_.alpha_raw, flat_params[model.alpha_offset()]);
-    tape_.SetValue(params_.beta_raw, flat_params[model.beta_offset()]);
-    for (size_t b = 0; b < params_.phi_out.size(); ++b) {
-      tape_.SetValue(params_.phi_out[b],
-                     flat_params[model.phi_out_offset() + b]);
-    }
-
-    // Risk scores recorded once per scored pair, lazily in pair order (the
-    // same recording order as the historical Clear()+rebuild loop).
-    std::vector<Var> scores(sample.indices.size());
-    std::vector<char> scored(sample.indices.size(), 0);
-    auto score_at = [&](uint32_t pos) {
-      if (!scored[pos]) {
-        const size_t i = sample.indices[pos];
-        scores[pos] = model.RiskScoreOnTape(&tape_, params_, data.active[i],
-                                            data.classifier_output[i],
-                                            data.machine_label[i]);
-        scored[pos] = 1;
-      }
-      return scores[pos];
-    };
-
-    Var loss = tape_.Constant(0.0);
-    for (const auto& [a, b] : sample.pairs) {
-      Var cor = score_at(b);
-      Var mis = score_at(a);
-      loss = loss + SoftplusV(cor - mis);
-    }
-    loss = loss / static_cast<double>(sample.pairs.size());
-    const double epoch_loss = loss.value();
-
-    if (options.l1 > 0.0 || options.l2 > 0.0) {
-      Var reg = tape_.Constant(0.0);
-      for (size_t j = 0; j < num_rules; ++j) {
-        Var w = SoftplusV(params_.theta[j]);
-        reg = reg + options.l1 * Abs(w) + options.l2 * Square(w);
-      }
-      loss = loss + reg;
-    }
-
-    peak_nodes_ = std::max(peak_nodes_, tape_.size());
-    tape_.Backward(loss);
-
-    grad->assign(flat_params.size(), 0.0);
-    for (size_t j = 0; j < num_rules; ++j) {
-      (*grad)[j] = tape_.Gradient(params_.theta[j]);
-      (*grad)[num_rules + j] = tape_.Gradient(params_.phi[j]);
-    }
-    (*grad)[model.alpha_offset()] = tape_.Gradient(params_.alpha_raw);
-    (*grad)[model.beta_offset()] = tape_.Gradient(params_.beta_raw);
-    for (size_t b = 0; b < params_.phi_out.size(); ++b) {
-      (*grad)[model.phi_out_offset() + b] =
-          tape_.Gradient(params_.phi_out[b]);
-    }
-    return epoch_loss;
-  }
-
-  size_t peak_nodes() const { return peak_nodes_; }
-
- private:
-  Tape tape_;
-  RiskModel::TapeParams params_;
-  size_t mark_ = 0;
-  size_t peak_nodes_ = 0;
-};
-
 }  // namespace
 
 Status RiskTrainer::Train(RiskModel* model, const RiskActivation& data,
@@ -306,6 +213,13 @@ Status RiskTrainer::Train(RiskModel* model, const RiskActivation& data,
   if (data.size() != mislabeled.size()) {
     return Status::InvalidArgument(
         "activation size != mislabel flag count");
+  }
+  if (options_.max_mislabeled_per_epoch == 0 ||
+      options_.max_correct_per_epoch == 0 || options_.max_rank_pairs == 0) {
+    // An empty pair sample makes every epoch's rank loss 0/0.
+    return Status::InvalidArgument(
+        "max_mislabeled_per_epoch, max_correct_per_epoch and max_rank_pairs "
+        "must be positive");
   }
   loss_history_.clear();
   stats_ = RiskTrainerStats{};
@@ -329,16 +243,6 @@ Status RiskTrainer::Train(RiskModel* model, const RiskActivation& data,
   AdamState adam{std::vector<double>(num_params, 0.0),
                  std::vector<double>(num_params, 0.0)};
 
-  std::unique_ptr<TapeTrainer> tape_trainer;
-  if (options_.use_tape) {
-    // ~40 nodes per score plus 3 per rank pair is a comfortable upper bound
-    // for one epoch's subgraph.
-    const size_t scored_bound =
-        std::min(mis.size(), options_.max_mislabeled_per_epoch) +
-        std::min(cor.size(), options_.max_correct_per_epoch);
-    tape_trainer = std::make_unique<TapeTrainer>(
-        *model, 64 * scored_bound + 4 * options_.max_rank_pairs);
-  }
   RiskModel::BatchScore batch;
   std::vector<double> coef;
   EpochSample sample;
@@ -346,16 +250,9 @@ Status RiskTrainer::Train(RiskModel* model, const RiskActivation& data,
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     DrawEpochSample(&mis, &cor, options_, &rng, &sample);
 
-    double epoch_loss = 0.0;
-    if (options_.use_tape) {
-      epoch_loss = tape_trainer->RunEpoch(*model, data, params, sample,
-                                          options_, &grad);
-    } else {
-      ScatterParams(params, model);
-      epoch_loss = FastEpoch(model, data, sample, options_, &batch, &coef,
-                             &grad);
-    }
-    loss_history_.push_back(epoch_loss);
+    ScatterParams(params, model);
+    loss_history_.push_back(
+        FastEpoch(model, data, sample, options_, &batch, &coef, &grad));
     stats_.rank_pairs += sample.pairs.size();
     stats_.scored_pairs += sample.indices.size();
 
@@ -371,7 +268,6 @@ Status RiskTrainer::Train(RiskModel* model, const RiskActivation& data,
 
   ScatterParams(params, model);
   stats_.epochs = options_.epochs;
-  stats_.peak_tape_nodes = tape_trainer ? tape_trainer->peak_nodes() : 0;
   stats_.train_seconds = timer.ElapsedSeconds();
   return Status::OK();
 }

@@ -6,16 +6,12 @@
 // it maximizes AUROC (Sec. 3). Parameters are updated by gradient descent
 // (optionally Adam) with L1+L2 regularization on the feature weights.
 //
-// Two gradient paths compute the same update:
-//  * Fast path (default): the rank loss depends on the scores only through
-//    pairwise differences, so dL/dgamma_i is a weighted sum of
-//    sigmoid(gamma_j - gamma_i) terms. RiskModel::RiskScoreBatch evaluates
-//    all scores plus exact per-parameter jacobian rows in one batched pass,
-//    and the full gradient is a single jacobian-transpose multiply — no
-//    autodiff tape is recorded.
-//  * Tape path (options.use_tape): the original Sec. 6.2.3 formulation
-//    through the autodiff tape, kept for parity testing. Its seeded loss
-//    trajectory matches the fast path to ~1e-9 per epoch.
+// The gradient is analytic: the rank loss depends on the scores only through
+// pairwise differences, so dL/dgamma_i is a weighted sum of
+// sigmoid(gamma_j - gamma_i) terms. RiskModel::RiskScoreBatch evaluates all
+// scores plus exact per-parameter jacobian rows in one batched pass, and the
+// full gradient is a single jacobian-transpose multiply. trainer_parity_test
+// checks it against central finite differences of the whole objective.
 
 #ifndef LEARNRISK_RISK_TRAINER_H_
 #define LEARNRISK_RISK_TRAINER_H_
@@ -37,7 +33,7 @@ struct RiskTrainerOptions {
   double l2 = 1e-4;             ///< L2 on effective rule weights
   /// Per-epoch sampling caps (DESIGN.md §6.5): the full loss enumerates all
   /// (mislabeled x correct) pairs; these bound epoch cost while keeping the
-  /// objective unbiased in expectation.
+  /// objective unbiased in expectation. Each must be positive.
   size_t max_mislabeled_per_epoch = 256;
   size_t max_correct_per_epoch = 1024;
   size_t max_rank_pairs = 8192;
@@ -45,14 +41,6 @@ struct RiskTrainerOptions {
   /// false for the paper-literal optimizer.
   bool use_adam = true;
   uint64_t seed = 13;
-  /// When true, trains through the autodiff tape (the original Sec. 6.2.3
-  /// path, kept for gradient-parity testing). The default analytic fast path
-  /// computes the same loss and gradients in closed form via
-  /// RiskModel::RiskScoreBatch — no per-epoch tape recording — and matches
-  /// the tape path's seeded loss trajectory to ~1e-9 per epoch.
-  bool use_tape = false;
-  /// Worker threads for batched scoring (0 = hardware concurrency).
-  size_t num_threads = 0;
 };
 
 /// \brief Throughput/size counters from the last Train() call.
@@ -60,7 +48,6 @@ struct RiskTrainerStats {
   size_t epochs = 0;            ///< epochs actually run
   size_t rank_pairs = 0;        ///< rank pairs summed across epochs
   size_t scored_pairs = 0;      ///< risk-score evaluations across epochs
-  size_t peak_tape_nodes = 0;   ///< tape path only; 0 on the fast path
   double train_seconds = 0.0;   ///< wall clock inside Train()
   double EpochsPerSec() const {
     return train_seconds > 0.0 ? static_cast<double>(epochs) / train_seconds
@@ -82,6 +69,7 @@ class RiskTrainer {
   /// correct ones. Requires at least one mislabeled and one correct pair;
   /// with fewer the model is left at its prior and OK is returned (the prior
   /// model is already usable, Sec. 7.4 trains from 100 pairs upward).
+  /// Returns InvalidArgument when a per-epoch sampling cap is 0.
   Status Train(RiskModel* model, const RiskActivation& data,
                const std::vector<uint8_t>& mislabeled);
 

@@ -98,17 +98,13 @@ double ScorerSnapshot::ScorePair(const uint32_t* active_rules,
 
 void ScorerSnapshot::ScoreBatch(const CsrActivation& activation,
                                 const std::vector<double>& classifier_probs,
-                                double* risk_out, uint8_t* label_out,
-                                size_t num_threads) const {
-  ParallelFor(
-      activation.rows(),
-      [&](size_t i) {
-        const uint8_t label = classifier_probs[i] >= 0.5 ? 1 : 0;
-        risk_out[i] = ScorePair(activation.row(i), activation.row_size(i),
-                                classifier_probs[i], label);
-        if (label_out != nullptr) label_out[i] = label;
-      },
-      num_threads);
+                                double* risk_out, uint8_t* label_out) const {
+  ParallelFor(activation.rows(), [&](size_t i) {
+    const uint8_t label = classifier_probs[i] >= 0.5 ? 1 : 0;
+    risk_out[i] = ScorePair(activation.row(i), activation.row_size(i),
+                            classifier_probs[i], label);
+    if (label_out != nullptr) label_out[i] = label;
+  });
 }
 
 std::vector<RiskContribution> ScorerSnapshot::Explain(

@@ -62,8 +62,7 @@ class ScorerSnapshot {
   /// needed.
   void ScoreBatch(const CsrActivation& activation,
                   const std::vector<double>& classifier_probs,
-                  double* risk_out, uint8_t* label_out,
-                  size_t num_threads = 0) const;
+                  double* risk_out, uint8_t* label_out) const;
 
   /// \brief Precomputed description string of rule j (Rule::ToString baked
   /// at construction so explanation-heavy traffic never re-formats rules).

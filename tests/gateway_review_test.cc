@@ -316,6 +316,39 @@ TEST(GatewayReviewTest, ReviewApiGatesAndErrorPaths) {
   EXPECT_TRUE(gateway.RetrainFromReview("ds").status().IsFailedPrecondition());
 }
 
+TEST(GatewayReviewTest, ZeroRankPairCapRejectedWithoutPublishing) {
+  const ReviewSetup& s = SharedSetup();
+  Gateway gateway(ReviewEverythingOptions());
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", s.Spec()).ok());
+  ASSERT_TRUE(gateway.Publish("ds", *s.model).ok());
+  ResolveRequest request;
+  request.block_all = true;
+  const auto response = gateway.Resolve("ds", request);
+  ASSERT_TRUE(response.ok());
+  const Frontier f = MakeFrontier(*response);
+  const uint64_t serving_version = response->scores.model_version;
+
+  auto items = gateway.DrainReview("ds", 8);
+  ASSERT_TRUE(items.ok());
+  ASSERT_GE(items->size(), 2u);
+  for (const ReviewItem& item : *items) {
+    const size_t idx = f.index.at(PairKey(item.left, item.right));
+    ASSERT_TRUE(
+        gateway.SubmitReviewLabel("ds", item.left, item.right, f.truth[idx])
+            .ok());
+  }
+
+  // A zero cap would train on an empty pair sample (NaN loss); the retrain
+  // is refused and the serving model stays where it was.
+  ReviewRetrainOptions options;
+  options.retrain.trainer.max_rank_pairs = 0;
+  EXPECT_TRUE(
+      gateway.RetrainFromReview("ds", options).status().IsInvalidArgument());
+  const auto after = gateway.Resolve("ds", request);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->scores.model_version, serving_version);
+}
+
 TEST(GatewayReviewTest, ProbeEnqueuesKeyedOnCandidateSide) {
   const ReviewSetup& s = SharedSetup();
   Gateway gateway(ReviewEverythingOptions());

@@ -60,7 +60,6 @@ TEST(ModelIoTest, TrainerOptionsRoundTrip) {
   trainer.max_correct_per_epoch = 512;
   trainer.max_rank_pairs = 4096;
   trainer.use_adam = false;
-  trainer.use_tape = true;
   trainer.seed = 99;
 
   const std::string text = SerializeRiskModel(model, &trainer);
@@ -78,8 +77,49 @@ TEST(ModelIoTest, TrainerOptionsRoundTrip) {
   EXPECT_EQ(restored.max_correct_per_epoch, trainer.max_correct_per_epoch);
   EXPECT_EQ(restored.max_rank_pairs, trainer.max_rank_pairs);
   EXPECT_EQ(restored.use_adam, trainer.use_adam);
-  EXPECT_EQ(restored.use_tape, trainer.use_tape);
   EXPECT_EQ(restored.seed, trainer.seed);
+}
+
+TEST(ModelIoTest, LegacyUseTapeSlotIsReadAndDiscarded) {
+  RiskModel model = TrainedModel();
+  RiskTrainerOptions trainer;
+  trainer.epochs = 321;
+  trainer.max_rank_pairs = 4096;
+  trainer.use_adam = true;
+  trainer.seed = 99;
+  std::string text = SerializeRiskModel(model, &trainer);
+
+  // Writers put a literal 0 in the retired use_tape slot, between use_adam
+  // and the seed, as older versions did for the default trainer.
+  const std::string slot = " 1 0 99\n";
+  const size_t at = text.find(slot);
+  ASSERT_NE(at, std::string::npos) << text;
+  ASSERT_LT(at, text.find("params "));
+
+  // A legacy payload written with use_tape = 1 loads with every other field
+  // intact.
+  text.replace(at, slot.size(), " 1 1 99\n");
+  RiskTrainerOptions restored;
+  auto loaded = DeserializeRiskModel(text, &restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(restored.epochs, trainer.epochs);
+  EXPECT_DOUBLE_EQ(restored.learning_rate, trainer.learning_rate);
+  EXPECT_DOUBLE_EQ(restored.l1, trainer.l1);
+  EXPECT_DOUBLE_EQ(restored.l2, trainer.l2);
+  EXPECT_EQ(restored.max_mislabeled_per_epoch,
+            trainer.max_mislabeled_per_epoch);
+  EXPECT_EQ(restored.max_correct_per_epoch, trainer.max_correct_per_epoch);
+  EXPECT_EQ(restored.max_rank_pairs, trainer.max_rank_pairs);
+  EXPECT_EQ(restored.use_adam, trainer.use_adam);
+  EXPECT_EQ(restored.seed, trainer.seed);
+  EXPECT_EQ(loaded->theta(), model.theta());
+  EXPECT_EQ(loaded->phi(), model.phi());
+  EXPECT_EQ(loaded->alpha_raw(), model.alpha_raw());
+  EXPECT_EQ(loaded->beta_raw(), model.beta_raw());
+  EXPECT_EQ(loaded->phi_out(), model.phi_out());
+  // Re-serializing normalizes the slot back to 0.
+  EXPECT_EQ(SerializeRiskModel(*loaded, &restored),
+            SerializeRiskModel(model, &trainer));
 }
 
 TEST(ModelIoTest, PayloadWithoutTrainerRecordKeepsDefaults) {

@@ -1,6 +1,6 @@
 // Copyright 2026 The LearnRisk Authors
 // Tests for the risk model core: feature expectations, portfolio
-// aggregation, VaR/CVaR scoring, tape-vs-scalar consistency, explanations.
+// aggregation, VaR/CVaR scoring, batch-vs-scalar consistency, explanations.
 
 #include "risk/risk_model.h"
 
@@ -178,17 +178,57 @@ TEST(RiskModelTest, ScoreBatchMatchesSingle) {
   }
 }
 
-TEST(RiskModelTest, TapeScoreMatchesScalarScore) {
-  RiskModel model(TestFeatureSet());
-  Tape tape;
-  auto params = model.MakeTapeParams(&tape);
+TEST(RiskModelTest, BatchScoreMatchesScalarScore) {
+  // Every (label, output, activation) combination as one batch.
+  RiskActivation act;
   for (uint8_t label : {uint8_t{0}, uint8_t{1}}) {
     for (double p : {0.1, 0.5, 0.9}) {
       for (const std::vector<uint32_t>& active :
            {std::vector<uint32_t>{}, {0}, {1}, {0, 1}}) {
-        Var v = model.RiskScoreOnTape(&tape, params, active, p, label);
-        EXPECT_NEAR(v.value(), model.RiskScore(active, p, label), 1e-9)
-            << "p=" << p << " label=" << int{label};
+        act.active.push_back(active);
+        act.classifier_output.push_back(p);
+        act.machine_label.push_back(label);
+      }
+    }
+  }
+  std::vector<size_t> indices(act.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+
+  for (RiskMetric metric :
+       {RiskMetric::kVaR, RiskMetric::kCVaR, RiskMetric::kExpectation}) {
+    for (bool use_output : {true, false}) {
+      RiskModelOptions options;
+      options.metric = metric;
+      options.use_classifier_feature = use_output;
+      RiskModel model(TestFeatureSet(), options);
+      // CVaR trains on its VaR surrogate: compare with a VaR twin.
+      options.metric = RiskMetric::kVaR;
+      const RiskModel var_twin(TestFeatureSet(), options);
+
+      RiskModel::BatchScore batch;
+      model.RiskScoreBatch(act, indices, &batch);
+      for (size_t i = 0; i < act.size(); ++i) {
+        const std::vector<uint32_t>& active = act.active[i];
+        const double p = act.classifier_output[i];
+        const uint8_t label = act.machine_label[i];
+        double expected = 0.0;
+        switch (metric) {
+          case RiskMetric::kVaR:
+            expected = model.RiskScore(active, p, label);
+            break;
+          case RiskMetric::kCVaR:
+            expected = var_twin.RiskScore(active, p, label);
+            break;
+          case RiskMetric::kExpectation: {
+            const double mu = model.Distribution(active, p).mu;
+            expected = label == 0 ? mu : 1.0 - mu;
+            break;
+          }
+        }
+        EXPECT_NEAR(batch.value[i], expected, 1e-12)
+            << "metric=" << static_cast<int>(metric)
+            << " use_output=" << use_output << " p=" << p
+            << " label=" << int{label} << " pair=" << i;
       }
     }
   }

@@ -1,15 +1,17 @@
 // Copyright 2026 The LearnRisk Authors
-// Parity between the analytic fast path and the tape path: RiskScoreBatch
-// jacobians vs. tape backward vs. central finite differences on randomized
-// models, and full seeded training trajectories (per-epoch loss + final
-// parameters) across both paths and all risk metrics.
+// Oracles for the analytic training gradient on randomized models, for every
+// risk metric: RiskScoreBatch values vs. the scalar scorer, its Jacobian rows
+// vs. central finite differences, and one full trainer step (rank loss plus
+// L1/L2) vs. central finite differences of the whole objective.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
-#include "autodiff/tape.h"
+#include "common/math_util.h"
 #include "common/random.h"
 #include "risk/risk_model.h"
 #include "risk/trainer.h"
@@ -89,24 +91,31 @@ void ApplyFlat(const std::vector<double>& p, RiskModel* model) {
                      p[model->beta_offset()], phi_out);
 }
 
-/// Tape gradient of one pair's risk score w.r.t. the flat parameter vector.
-std::vector<double> TapeGradient(const RiskModel& model,
-                                 const RiskActivation& act, size_t i,
-                                 double* value) {
-  Tape tape;
-  RiskModel::TapeParams params = model.MakeTapeParams(&tape);
-  Var score = model.RiskScoreOnTape(&tape, params, act.active[i],
-                                    act.classifier_output[i],
-                                    act.machine_label[i]);
-  tape.Backward(score);
-  *value = score.value();
-  std::vector<double> grad;
-  for (Var v : params.theta) grad.push_back(tape.Gradient(v));
-  for (Var v : params.phi) grad.push_back(tape.Gradient(v));
-  grad.push_back(tape.Gradient(params.alpha_raw));
-  grad.push_back(tape.Gradient(params.beta_raw));
-  for (Var v : params.phi_out) grad.push_back(tape.Gradient(v));
-  return grad;
+/// The scalar-path value RiskScoreBatch must reproduce for pair i: the VaR
+/// for kVaR and kCVaR (CVaR trains on its VaR surrogate), the untruncated
+/// portfolio mean for kExpectation.
+double ScalarSurrogate(const RiskModel& model, const RiskActivation& act,
+                       size_t i) {
+  const std::vector<uint32_t>& active = act.active[i];
+  const double output = act.classifier_output[i];
+  const uint8_t label = act.machine_label[i];
+  switch (model.options().metric) {
+    case RiskMetric::kVaR:
+      return model.RiskScore(active, output, label);
+    case RiskMetric::kCVaR: {
+      RiskModelOptions options = model.options();
+      options.metric = RiskMetric::kVaR;
+      RiskModel twin(model.features(), options);
+      twin.ApplyUpdate(model.theta(), model.phi(), model.alpha_raw(),
+                       model.beta_raw(), model.phi_out());
+      return twin.RiskScore(active, output, label);
+    }
+    case RiskMetric::kExpectation: {
+      const double mu = model.Distribution(active, output).mu;
+      return label == 0 ? mu : 1.0 - mu;
+    }
+  }
+  return 0.0;
 }
 
 struct ParityCase {
@@ -116,7 +125,7 @@ struct ParityCase {
 
 class GradientParity : public ::testing::TestWithParam<ParityCase> {};
 
-TEST_P(GradientParity, AnalyticMatchesTapeAndFiniteDifferences) {
+TEST_P(GradientParity, AnalyticMatchesScalarAndFiniteDifferences) {
   const ParityCase c = GetParam();
   constexpr size_t kRules = 7;
   constexpr size_t kPairs = 24;
@@ -133,28 +142,11 @@ TEST_P(GradientParity, AnalyticMatchesTapeAndFiniteDifferences) {
 
     const std::vector<double> base = FlatParams(model);
     for (size_t i = 0; i < kPairs; ++i) {
-      // Batch value and tape value agree.
-      double tape_value = 0.0;
-      const std::vector<double> tape_grad =
-          TapeGradient(model, act, i, &tape_value);
-      EXPECT_NEAR(batch.value[i], tape_value, 1e-12) << "pair " << i;
-      if (c.metric == RiskMetric::kVaR) {
-        // The scalar path computes the same VaR; CVaR/Expectation rank by a
-        // surrogate on tape, so only VaR values are directly comparable.
-        EXPECT_NEAR(batch.value[i],
-                    model.RiskScore(act.active[i], act.classifier_output[i],
-                                    act.machine_label[i]),
-                    1e-9);
-      }
+      EXPECT_NEAR(batch.value[i], ScalarSurrogate(model, act, i), 1e-12)
+          << "pair " << i;
 
       const std::vector<double> jac = batch.DenseRow(i, kRules);
       for (size_t p = 0; p < batch.num_params; ++p) {
-        // Analytic vs tape: both are exact chain rules, so 1e-6 absolute
-        // parity is generous.
-        EXPECT_NEAR(jac[p], tape_grad[p],
-                    1e-6 * std::max(1.0, std::fabs(tape_grad[p])))
-            << "pair " << i << " param " << p;
-
         // Analytic vs central finite differences of the batch value.
         const double h = 1e-5;
         RiskModel probe = model;
@@ -174,65 +166,123 @@ TEST_P(GradientParity, AnalyticMatchesTapeAndFiniteDifferences) {
   }
 }
 
+const ParityCase kParityCases[] = {
+    {RiskMetric::kVaR, true},         {RiskMetric::kVaR, false},
+    {RiskMetric::kCVaR, true},        {RiskMetric::kCVaR, false},
+    {RiskMetric::kExpectation, true}, {RiskMetric::kExpectation, false}};
+
+std::string ParityCaseName(const ParityCase& c) {
+  std::string name;
+  switch (c.metric) {
+    case RiskMetric::kVaR: name = "VaR"; break;
+    case RiskMetric::kCVaR: name = "CVaR"; break;
+    case RiskMetric::kExpectation: name = "Expectation"; break;
+  }
+  return name + (c.use_classifier_feature ? "" : "_NoOutput");
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Metrics, GradientParity,
-    ::testing::Values(ParityCase{RiskMetric::kVaR, true},
-                      ParityCase{RiskMetric::kVaR, false},
-                      ParityCase{RiskMetric::kCVaR, true},
-                      ParityCase{RiskMetric::kExpectation, true}),
+    Metrics, GradientParity, ::testing::ValuesIn(kParityCases),
     [](const ::testing::TestParamInfo<ParityCase>& info) {
-      std::string name;
-      switch (info.param.metric) {
-        case RiskMetric::kVaR: name = "VaR"; break;
-        case RiskMetric::kCVaR: name = "CVaR"; break;
-        case RiskMetric::kExpectation: name = "Expectation"; break;
-      }
-      return name + (info.param.use_classifier_feature ? "" : "_NoOutput");
+      return ParityCaseName(info.param);
     });
 
-TEST(TrainingParity, SeededLossTrajectoriesMatch) {
+/// Mean rank loss softplus(gamma_cor - gamma_mis) over every (mislabeled,
+/// correct) pair of the batch values, in mislabeled-major pair order.
+double RankLoss(const RiskModel& model, const RiskActivation& act,
+                const std::vector<uint8_t>& mislabeled) {
+  std::vector<size_t> indices(act.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  RiskModel::BatchScore batch;
+  model.RiskScoreBatch(act, indices, &batch);
+  double loss = 0.0;
+  size_t pairs = 0;
+  for (size_t a = 0; a < act.size(); ++a) {
+    if (!mislabeled[a]) continue;
+    for (size_t b = 0; b < act.size(); ++b) {
+      if (mislabeled[b]) continue;
+      loss += Softplus(batch.value[b] - batch.value[a]);
+      ++pairs;
+    }
+  }
+  return loss / static_cast<double>(pairs);
+}
+
+/// The trainer's full objective: the rank loss plus L1 and L2 on the
+/// effective rule weights.
+double FullObjective(const RiskModel& model, const RiskActivation& act,
+                     const std::vector<uint8_t>& mislabeled, double l1,
+                     double l2) {
+  double reg = 0.0;
+  for (double theta : model.theta()) {
+    const double w = Softplus(theta);
+    reg += l1 * w + l2 * w * w;
+  }
+  return RankLoss(model, act, mislabeled) + reg;
+}
+
+TEST(TrainingParity, FullGradientMatchesFiniteDifferences) {
   constexpr size_t kRules = 6;
-  constexpr size_t kPairs = 300;
+  constexpr size_t kPairs = 80;
   RiskActivation act = RandomActivation(kPairs, kRules, 5);
   std::vector<uint8_t> mislabeled(kPairs);
   Rng rng(17);
+  size_t num_mis = 0;
   for (size_t i = 0; i < kPairs; ++i) {
     mislabeled[i] = rng.Bernoulli(0.3) ? 1 : 0;
+    num_mis += mislabeled[i];
   }
+  const size_t num_cor = kPairs - num_mis;
+  ASSERT_GT(num_mis, 0u);
+  ASSERT_GT(num_cor, 0u);
 
-  RiskTrainerOptions fast_opts;
-  fast_opts.epochs = 60;
-  fast_opts.use_tape = false;
-  RiskTrainerOptions tape_opts = fast_opts;
-  tape_opts.use_tape = true;
+  // One plain-GD epoch at learning rate 1 moves the parameters by exactly
+  // minus the gradient. Caps at least as large as the pools enumerate every
+  // (mislabeled, correct) pair, so the epoch draws nothing from the RNG.
+  RiskTrainerOptions opts;
+  opts.epochs = 1;
+  opts.use_adam = false;
+  opts.learning_rate = 1.0;
+  opts.l1 = 0.03;
+  opts.l2 = 0.02;
+  opts.max_mislabeled_per_epoch = kPairs;
+  opts.max_correct_per_epoch = kPairs;
+  opts.max_rank_pairs = kPairs * kPairs;
 
-  RiskModel fast_model = RandomModel(kRules, 3);
-  RiskModel tape_model = RandomModel(kRules, 3);
-  RiskTrainer fast_trainer(fast_opts);
-  RiskTrainer tape_trainer(tape_opts);
-  ASSERT_TRUE(fast_trainer.Train(&fast_model, act, mislabeled).ok());
-  ASSERT_TRUE(tape_trainer.Train(&tape_model, act, mislabeled).ok());
+  for (const ParityCase& c : kParityCases) {
+    SCOPED_TRACE(ParityCaseName(c));
+    const RiskModel before =
+        RandomModel(kRules, 3, c.metric, c.use_classifier_feature);
+    RiskModel after = before;
+    RiskTrainer trainer(opts);
+    ASSERT_TRUE(trainer.Train(&after, act, mislabeled).ok());
+    EXPECT_EQ(trainer.stats().epochs, 1u);
+    EXPECT_EQ(trainer.stats().rank_pairs, num_mis * num_cor);
+    ASSERT_EQ(trainer.loss_history().size(), 1u);
 
-  ASSERT_EQ(fast_trainer.loss_history().size(),
-            tape_trainer.loss_history().size());
-  for (size_t e = 0; e < fast_trainer.loss_history().size(); ++e) {
-    EXPECT_NEAR(fast_trainer.loss_history()[e],
-                tape_trainer.loss_history()[e], 1e-6)
-        << "epoch " << e;
+    EXPECT_NEAR(trainer.loss_history()[0], RankLoss(before, act, mislabeled),
+                1e-12);
+
+    const std::vector<double> base = FlatParams(before);
+    const std::vector<double> moved = FlatParams(after);
+    for (size_t p = 0; p < base.size(); ++p) {
+      const double grad = base[p] - moved[p];
+      const double h = 1e-5;
+      RiskModel probe = before;
+      std::vector<double> perturbed = base;
+      perturbed[p] = base[p] + h;
+      ApplyFlat(perturbed, &probe);
+      const double plus =
+          FullObjective(probe, act, mislabeled, opts.l1, opts.l2);
+      perturbed[p] = base[p] - h;
+      ApplyFlat(perturbed, &probe);
+      const double minus =
+          FullObjective(probe, act, mislabeled, opts.l1, opts.l2);
+      const double fd = (plus - minus) / (2.0 * h);
+      EXPECT_NEAR(grad, fd, 1e-8 * std::max(1.0, std::fabs(fd)))
+          << "param " << p;
+    }
   }
-  for (size_t j = 0; j < kRules; ++j) {
-    EXPECT_NEAR(fast_model.theta()[j], tape_model.theta()[j], 1e-5);
-    EXPECT_NEAR(fast_model.phi()[j], tape_model.phi()[j], 1e-5);
-  }
-  EXPECT_NEAR(fast_model.alpha_raw(), tape_model.alpha_raw(), 1e-5);
-  EXPECT_NEAR(fast_model.beta_raw(), tape_model.beta_raw(), 1e-5);
-
-  // Stats: the tape path reports its arena high-water mark, the fast path
-  // records none.
-  EXPECT_GT(tape_trainer.stats().peak_tape_nodes, 0u);
-  EXPECT_EQ(fast_trainer.stats().peak_tape_nodes, 0u);
-  EXPECT_EQ(fast_trainer.stats().epochs, fast_opts.epochs);
-  EXPECT_GT(fast_trainer.stats().rank_pairs, 0u);
 }
 
 TEST(TrainingParity, FastPathIsDeterministic) {

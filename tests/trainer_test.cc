@@ -132,6 +132,26 @@ TEST(TrainerTest, SizeMismatchRejected) {
                   .IsInvalidArgument());
 }
 
+TEST(TrainerTest, ZeroSamplingCapRejected) {
+  // A zero cap leaves every epoch's pair sample empty, so its rank loss
+  // would be 0/0; the trainer refuses instead of moving the model.
+  Scenario s = MakeScenario();
+  for (int cap = 0; cap < 3; ++cap) {
+    RiskTrainerOptions opts = FastOptions();
+    if (cap == 0) opts.max_mislabeled_per_epoch = 0;
+    if (cap == 1) opts.max_correct_per_epoch = 0;
+    if (cap == 2) opts.max_rank_pairs = 0;
+    RiskModel model(s.features);
+    const std::vector<double> theta_before = model.theta();
+    RiskTrainer trainer(opts);
+    EXPECT_TRUE(trainer.Train(&model, s.activation, s.mislabeled)
+                    .IsInvalidArgument())
+        << "cap " << cap;
+    EXPECT_EQ(model.theta(), theta_before) << "cap " << cap;
+    EXPECT_TRUE(trainer.loss_history().empty()) << "cap " << cap;
+  }
+}
+
 TEST(TrainerTest, DeterministicGivenSeed) {
   Scenario s = MakeScenario();
   RiskModel a(s.features);

@@ -1,7 +1,7 @@
 // Copyright 2026 The LearnRisk Authors
 // Property sweeps over the VaR risk metric (Sec. 6.1): parameterized across
 // distribution means, spreads and confidence levels, verifying range,
-// monotonicity, CVaR dominance and scalar/tape agreement everywhere.
+// monotonicity, CVaR dominance and scalar/batch agreement everywhere.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ using VarCase = std::tuple<double, double, int>;  // output, theta*100, label
 
 class VaRSweep : public ::testing::TestWithParam<VarCase> {};
 
-TEST_P(VaRSweep, RiskInUnitRangeAndTapeAgrees) {
+TEST_P(VaRSweep, RiskInUnitRangeAndBatchAgrees) {
   const auto [output, theta100, label] = GetParam();
   RiskModelOptions opts;
   opts.var_confidence = theta100 / 100.0;
@@ -47,11 +47,13 @@ TEST_P(VaRSweep, RiskInUnitRangeAndTapeAgrees) {
         model.RiskScore(active, output, static_cast<uint8_t>(label));
     EXPECT_GE(risk, 0.0);
     EXPECT_LE(risk, 1.0);
-    Tape tape;
-    auto params = model.MakeTapeParams(&tape);
-    Var v = model.RiskScoreOnTape(&tape, params, active, output,
-                                  static_cast<uint8_t>(label));
-    EXPECT_NEAR(v.value(), risk, 1e-9)
+    RiskActivation act;
+    act.active = {active};
+    act.classifier_output = {output};
+    act.machine_label = {static_cast<uint8_t>(label)};
+    RiskModel::BatchScore batch;
+    model.RiskScoreBatch(act, {0}, &batch);
+    EXPECT_NEAR(batch.value[0], risk, 1e-9)
         << "output=" << output << " theta=" << theta100 << " label=" << label;
   }
 }
