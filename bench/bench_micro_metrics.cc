@@ -2,13 +2,17 @@
 //
 // Micro-benchmarks (google-benchmark): throughput of the similarity /
 // difference metrics, rule evaluation and VaR scoring — the inner loops of
-// feature generation and risk ranking.
+// feature generation and risk ranking. The reference kernels (similarity.h)
+// sit next to the prepared ones the gateway serves (string_kernels.h and
+// MetricSuite::EvaluatePrepared over PrepareRecord caches).
 
 #include <benchmark/benchmark.h>
 
 #include "common/math_util.h"
 #include "metrics/difference.h"
+#include "metrics/metric_suite.h"
 #include "metrics/similarity.h"
+#include "metrics/string_kernels.h"
 #include "risk/risk_model.h"
 
 namespace learnrisk {
@@ -33,6 +37,15 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler);
 
+void BM_JaroWinklerFast(benchmark::State& state) {
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        JaroWinklerSimilarityFast(kTitleA, kTitleB, &scratch));
+  }
+}
+BENCHMARK(BM_JaroWinklerFast);
+
 void BM_TokenJaccard(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(TokenJaccard(kTitleA, kTitleB));
@@ -53,6 +66,29 @@ void BM_MongeElkan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MongeElkan);
+
+// The served Monge-Elkan: both values prepared once, then the prepared
+// kernel evaluated per iteration with one reused scratch. Arg 0 is the
+// title-like pair, 1 the authors-like pair.
+void BM_PreparedMongeElkan(benchmark::State& state) {
+  const bool title = state.range(0) == 0;
+  const Schema schema({{"value", AttributeType::kText}});
+  const MetricSuite suite = MetricSuite::FromSpecs(
+      schema, {MetricSpec{0, MetricKind::kMongeElkan, "value.monge_elkan"}});
+  Record left;
+  left.values = {title ? kTitleA : kAuthorsA};
+  Record right;
+  right.values = {title ? kTitleB : kAuthorsB};
+  const PreparedRecord prepared_left = suite.PrepareRecord(left);
+  const PreparedRecord prepared_right = suite.PrepareRecord(right);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        suite.EvaluatePrepared(prepared_left, prepared_right, 0, &scratch));
+  }
+  state.SetLabel(title ? "title" : "authors");
+}
+BENCHMARK(BM_PreparedMongeElkan)->Arg(0)->Arg(1);
 
 void BM_DistinctEntity(benchmark::State& state) {
   for (auto _ : state) {

@@ -130,10 +130,6 @@ MetricSuite MetricSuite::FromSpecs(const Schema& schema,
   suite.idf_.resize(schema.num_attributes());
   suite.min_key_idf_.resize(schema.num_attributes(), 0.0);
   suite.RecomputeNeeds();
-  // Copies of this suite share the dictionary, so records prepared by any
-  // copy carry mutually comparable token ids (the gateway stores one suite
-  // per pipeline but prepares from many request threads).
-  suite.token_dict_ = std::make_shared<TokenDictionary>();
   return suite;
 }
 
@@ -396,89 +392,46 @@ double PreparedDistinctEntityCount(const PreparedValue& a,
 /// the |ta| x |tb| Jaro-Winkler matrix twice (once per direction); this
 /// kernel fills per-row and per-column maxima in one fused pass, which is
 /// bit-identical because greedy-window Jaro-Winkler is exactly symmetric
-/// (exhaustively verified in tests/prepared_parity_test.cc; IEEE addition is
-/// commutative, so the swapped-argument formula reassociates nothing) and
-/// the max-accumulation visits entries in the same order either way.
+/// (tested in tests/prepared_parity_test.cc; IEEE addition is commutative,
+/// so the swapped-argument formula reassociates nothing), a maximum does not
+/// depend on the order its candidates arrive in, and both sums run in the
+/// reference's token order.
 ///
-/// Three exact shortcuts skip the quadratic kernel without changing either
-/// maximum:
-///  - equal tokens score exactly 1.0;
-///  - tokens with disjoint character masks score exactly 0.0 (no matches
-///    and no shared prefix);
-///  - a length-difference upper bound: Jaro's matches m <= min(|s|,|t|), so
-///    jaro <= (2 + min/max) / 3, and Winkler (prefix <= 4, scale 0.1) maps
-///    jaro to at most 0.4 + 0.6*jaro, giving JW <= 0.8 + 0.2 * (min/max).
-///    With a 1e-9 margin absorbing FP rounding on both sides, any pair whose
-///    bound is already <= *both* current maxima can be skipped — the real
-///    value could not have raised either one.
-///
-/// Pairs that do reach the kernel are memoized per thread: blocking emits
-/// each record into many pairs, so hot token pairs recur. The memo keys on
-/// the tokens' dictionary ids (symmetric pack, valid because JW is bitwise
-/// symmetric) and returns the exact cached double, so it only reorders
-/// *when* a value is computed, never what it is.
+/// The pass walks the right tokens outermost: each right token of at most
+/// 64 chars has its position masks built once and matched bit-parallel
+/// against every left token (JaroWinklerAgainstMasks); longer ones take the
+/// scalar kernel. Two exact shortcuts skip the kernel: equal tokens score
+/// exactly 1.0, and tokens with disjoint character masks score exactly 0.0
+/// (no matches and no shared prefix).
 double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
                           MetricScratch* scratch) {
   const std::vector<std::string>& ta = a.tokens;
   const std::vector<std::string>& tb = b.tokens;
   if (ta.empty() && tb.empty()) return 1.0;
   if (ta.empty() || tb.empty()) return 0.0;
-  scratch->row_best.assign(ta.size(), 0.0);
-  scratch->col_best.assign(tb.size(), 0.0);
-  // The memo needs both sides to carry ids from one dictionary; id vectors
-  // can be absent (default-constructed suite) or from different suites, in
-  // which case the kernel just runs uncached.
-  const bool memo = a.token_dict != nullptr && a.token_dict == b.token_dict &&
-                    a.token_ids.size() == ta.size() &&
-                    b.token_ids.size() == tb.size();
-  if (memo && scratch->jw_cache_dict != a.token_dict) {
-    scratch->jw_cache.clear();
-    scratch->jw_cache_dict = a.token_dict;
-  }
-  for (size_t i = 0; i < ta.size(); ++i) {
-    const uint64_t mask = a.token_masks[i];
-    for (size_t j = 0; j < tb.size(); ++j) {
-      if ((mask & b.token_masks[j]) == 0) continue;  // exactly 0.0
-      if (ta[i] == tb[j]) {  // exactly what the kernel returns
-        scratch->row_best[i] = std::max(scratch->row_best[i], 1.0);
-        scratch->col_best[j] = std::max(scratch->col_best[j], 1.0);
-        continue;
-      }
-      const double shorter =
-          static_cast<double>(std::min(ta[i].size(), tb[j].size()));
-      const double longer =
-          static_cast<double>(std::max(ta[i].size(), tb[j].size()));
-      const double ub = 0.8 + 0.2 * (shorter / longer) + 1e-9;
-      if (ub <= scratch->row_best[i] && ub <= scratch->col_best[j]) continue;
-      double s;
-      if (memo) {
-        const uint64_t ia = a.token_ids[i];
-        const uint64_t ib = b.token_ids[j];
-        const uint64_t key = ia < ib ? (ia << 32) | ib : (ib << 32) | ia;
-        // Emplace-then-fill is safe: the JW kernel never touches jw_cache,
-        // so the iterator stays valid across the computation.
-        const auto [it, inserted] = scratch->jw_cache.emplace(key, 0.0);
-        if (inserted) {
-          it->second = JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
-        }
-        s = it->second;
-      } else {
-        s = JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
-      }
-      scratch->row_best[i] = std::max(scratch->row_best[i], s);
-      scratch->col_best[j] = std::max(scratch->col_best[j], s);
+  std::vector<double>& row_best = scratch->row_best;
+  row_best.assign(ta.size(), 0.0);
+  double total_b = 0.0;
+  for (size_t j = 0; j < tb.size(); ++j) {
+    const std::string& y = tb[j];
+    const uint64_t y_mask = b.token_masks[j];
+    const bool bit_parallel = y.size() <= 64;
+    if (bit_parallel) BuildCharMasks(y, scratch);
+    double col_best = 0.0;
+    for (size_t i = 0; i < ta.size(); ++i) {
+      if ((a.token_masks[i] & y_mask) == 0) continue;  // exactly 0.0
+      const double s = ta[i] == y ? 1.0
+                       : bit_parallel
+                           ? JaroWinklerAgainstMasks(ta[i], y, *scratch)
+                           : JaroWinklerSimilarityFast(ta[i], y, scratch);
+      row_best[i] = std::max(row_best[i], s);
+      col_best = std::max(col_best, s);
     }
-  }
-  // Bound the memo's footprint across a long-lived thread: ~48 bytes/entry,
-  // so cap at 1M entries and start over (the tag stays — entries remain
-  // valid for the same dictionary, they are just recomputed on demand).
-  if (memo && scratch->jw_cache.size() >= (1u << 20)) {
-    scratch->jw_cache.clear();
+    if (bit_parallel) ClearCharMasks(y, scratch);
+    total_b += col_best;
   }
   double total_a = 0.0;
-  for (double best : scratch->row_best) total_a += best;
-  double total_b = 0.0;
-  for (double best : scratch->col_best) total_b += best;
+  for (double best : row_best) total_a += best;
   return 0.5 * (total_a / static_cast<double>(ta.size()) +
                 total_b / static_cast<double>(tb.size()));
 }
@@ -571,13 +524,6 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
     if (needs & kNeedTokens) {
       v.token_masks.reserve(v.tokens.size());
       for (const std::string& t : v.tokens) v.token_masks.push_back(CharMask(t));
-      if (token_dict_ != nullptr) {
-        v.token_ids.reserve(v.tokens.size());
-        for (const std::string& t : v.tokens) {
-          v.token_ids.push_back(token_dict_->Intern(t));
-        }
-        v.token_dict = token_dict_.get();
-      }
     }
     if (needs & (kNeedTokenSet | kNeedKeyTokens)) {
       v.sorted_tokens = SortedUnique(v.tokens);

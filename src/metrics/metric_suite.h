@@ -9,9 +9,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -56,32 +54,6 @@ const char* MetricKindToString(MetricKind kind);
 
 /// \brief True for the diff(.,.) metrics of Sec. 5.1.
 bool IsDifferenceMetric(MetricKind kind);
-
-/// \brief Interns token strings to dense ids so prepared records can carry
-/// integer token identities. Shared (via shared_ptr) across all copies of a
-/// suite: ids from the same dictionary instance are directly comparable, and
-/// the Monge-Elkan kernel keys its per-thread Jaro-Winkler memo on id pairs.
-/// Intern is mutex-guarded because the gateway prepares records from
-/// concurrent request threads; lookups happen only at prepare time, never in
-/// the per-pair hot loop.
-class TokenDictionary {
- public:
-  /// \brief Id of `token`, assigning the next dense id on first sight.
-  uint32_t Intern(const std::string& token) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ids_.emplace(token, static_cast<uint32_t>(ids_.size()))
-        .first->second;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ids_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, uint32_t> ids_;
-};
 
 /// \brief One metric applied to one attribute.
 struct MetricSpec {
@@ -169,10 +141,6 @@ class MetricSuite {
   std::vector<std::shared_ptr<IdfTable>> idf_;
   std::vector<double> min_key_idf_;
   std::vector<uint32_t> needs_;  ///< per-attribute PrepareNeeds mask
-  // Token interning table for prepared records (shared so copies of a suite
-  // produce mutually comparable token ids). Null on default-constructed
-  // suites; PrepareRecord then simply skips the id cache.
-  std::shared_ptr<TokenDictionary> token_dict_;
 };
 
 /// \brief Dense row-major pair-by-metric matrix.

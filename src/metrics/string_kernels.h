@@ -12,9 +12,13 @@
 //  - LcsLengthFast: prefix/suffix stripping (each stripped char is part of
 //    some LCS), then the Allison-Dix bit-parallel LLCS recurrence for
 //    patterns <= 64 chars, int32 DP otherwise.
-//  - JaroSimilarityFast / JaroWinklerSimilarityFast: the reference
-//    arithmetic verbatim, with the match flags in reusable byte buffers
-//    instead of fresh vector<bool>s.
+//  - JaroSimilarityFast / JaroWinklerSimilarityFast: the reference's greedy
+//    match, bit-parallel when the searched string b is <= 64 chars (per-char
+//    position masks of b; each a[i] takes the lowest unflagged in-window
+//    match bit), with the reference's transposition count and arithmetic;
+//    the scalar scan over reusable flag buffers otherwise.
+//    JaroWinklerAgainstMasks runs the same bit-parallel match against masks
+//    the caller built once (BuildCharMasks), for one b compared with many a.
 //
 // Exactness is enforced by tests/prepared_parity_test.cc, which compares
 // every kernel against the reference implementation on randomized inputs
@@ -25,7 +29,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace learnrisk {
@@ -37,23 +40,14 @@ namespace learnrisk {
 struct MetricScratch {
   std::vector<int32_t> dp_prev;   ///< DP row (edit distance / LCS fallback)
   std::vector<int32_t> dp_cur;    ///< DP row
-  std::vector<uint8_t> a_flags;   ///< Jaro match flags, left side
-  std::vector<uint8_t> b_flags;   ///< Jaro match flags, right side
+  std::vector<uint8_t> a_flags;   ///< Jaro match flags, left side (|b| > 64)
+  std::vector<uint8_t> b_flags;   ///< Jaro match flags, right side (|b| > 64)
   std::vector<uint8_t> used;      ///< entity-matching "already paired" flags
   std::vector<double> row_best;   ///< Monge-Elkan per-left-token maxima
-  std::vector<double> col_best;   ///< Monge-Elkan per-right-token maxima
-  /// Monge-Elkan's per-token-pair Jaro-Winkler memo: key packs the two
-  /// dictionary ids of a token pair (smaller id high), valid only for the
-  /// dictionary tagged below. JW is exactly symmetric, so one entry serves
-  /// both argument orders. Blocking emits each record into many pairs, so
-  /// hot token pairs recur heavily within a thread's batch.
-  std::unordered_map<uint64_t, double> jw_cache;
-  /// The TokenDictionary jw_cache's ids belong to; the kernel clears the
-  /// cache whenever it sees values prepared under a different dictionary.
-  const void* jw_cache_dict = nullptr;
-  /// Per-character match bitmasks for the bit-parallel kernels. Kernels
-  /// zero only the entries they touched, so the array stays clean without a
-  /// 2KB memset per call.
+  /// Per-character position bitmasks of the current pattern for the
+  /// bit-parallel kernels (edit distance, LCS, Jaro). Kernels zero only the
+  /// entries they touched, so the array stays clean without a 2KB memset
+  /// per call.
   uint64_t char_masks[256] = {};
 };
 
@@ -81,6 +75,21 @@ double JaroSimilarityFast(std::string_view a, std::string_view b,
 /// \brief Bit-identical to JaroWinklerSimilarity().
 double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,
                                  MetricScratch* scratch);
+
+/// \brief Sets scratch->char_masks to the position masks of `pattern`
+/// (|pattern| <= 64): bit j of char_masks[c] is set iff pattern[j] == c.
+/// Undo with ClearCharMasks(pattern) before any other kernel runs on the
+/// same scratch.
+void BuildCharMasks(std::string_view pattern, MetricScratch* scratch);
+
+/// \brief Zeroes the char_masks entries BuildCharMasks(pattern) set.
+void ClearCharMasks(std::string_view pattern, MetricScratch* scratch);
+
+/// \brief Bit-identical to JaroWinklerSimilarity(a, b) for |b| <= 64, with
+/// b's masks already in scratch.char_masks (BuildCharMasks(b)). A caller
+/// comparing many strings against one b builds its masks once.
+double JaroWinklerAgainstMasks(std::string_view a, std::string_view b,
+                               const MetricScratch& scratch);
 
 }  // namespace learnrisk
 

@@ -195,6 +195,74 @@ TEST(StringKernelsTest, JaroWinklerIsBitwiseSymmetric) {
   }
 }
 
+// The bit-parallel Jaro match (searched string b <= 64 chars) must pick the
+// same matches and count the same transpositions as the reference's scalar
+// scan. Exhaustive over every ordered pair of strings of length 0-6 over
+// {a,b,c}, where repeated characters make the greedy choice matter, then
+// seeded random pairs of length 0-130 so both |a| and |b| cross the 64-char
+// boundary (|a| > 64 with |b| <= 64 takes the bit-parallel path).
+// JaroWinklerAgainstMasks runs the same match on masks built once per b.
+TEST(StringKernelsTest, BitParallelJaroMatchesReferenceExhaustive) {
+  std::vector<std::string> strings = {""};
+  for (size_t begin = 0, len = 1; len <= 6; ++len) {
+    const size_t end = strings.size();
+    for (size_t s = begin; s < end; ++s) {
+      for (const char c : {'a', 'b', 'c'}) strings.push_back(strings[s] + c);
+    }
+    begin = end;
+  }
+  ASSERT_EQ(strings.size(), 1093u);
+  MetricScratch scratch;
+  for (const std::string& b : strings) {
+    BuildCharMasks(b, &scratch);
+    for (const std::string& a : strings) {
+      const double jw = JaroWinklerSimilarity(a, b);
+      ASSERT_TRUE(BitEqual(JaroWinklerAgainstMasks(a, b, scratch), jw))
+          << "a='" << a << "' b='" << b << "'";
+    }
+    ClearCharMasks(b, &scratch);
+    for (const std::string& a : strings) {
+      ASSERT_TRUE(BitEqual(JaroSimilarityFast(a, b, &scratch),
+                           JaroSimilarity(a, b)))
+          << "a='" << a << "' b='" << b << "'";
+      ASSERT_TRUE(BitEqual(JaroWinklerSimilarityFast(a, b, &scratch),
+                           JaroWinklerSimilarity(a, b)))
+          << "a='" << a << "' b='" << b << "'";
+    }
+  }
+
+  Rng rng(23);
+  auto random_string = [&](size_t len, size_t alphabet) {
+    std::string s;
+    for (size_t i = 0; i < len; ++i) {
+      s += static_cast<char>('a' + rng.Index(alphabet));
+    }
+    return s;
+  };
+  for (int iter = 0; iter < 20000; ++iter) {
+    const size_t alphabet = 1 + rng.Index(8);
+    const std::string a = random_string(rng.Index(131), alphabet);
+    const std::string b = rng.Bernoulli(0.1)
+                              ? a.substr(0, rng.Index(a.size() + 1))
+                              : random_string(rng.Index(131), alphabet);
+    ASSERT_TRUE(BitEqual(JaroSimilarityFast(a, b, &scratch),
+                         JaroSimilarity(a, b)))
+        << "a='" << a << "' b='" << b << "'";
+    ASSERT_TRUE(BitEqual(JaroWinklerSimilarityFast(a, b, &scratch),
+                         JaroWinklerSimilarity(a, b)))
+        << "a='" << a << "' b='" << b << "'";
+    if (b.size() <= 64) {
+      BuildCharMasks(b, &scratch);
+      ASSERT_TRUE(BitEqual(JaroWinklerAgainstMasks(a, b, scratch),
+                           JaroWinklerSimilarity(a, b)))
+          << "a='" << a << "' b='" << b << "'";
+      ClearCharMasks(b, &scratch);
+    }
+  }
+  // Masks are left clean: every entry was cleared after use.
+  for (const uint64_t mask : scratch.char_masks) ASSERT_EQ(mask, 0u);
+}
+
 // Scratch reuse across interleaved kernels must not leak state between
 // calls (char_masks hygiene).
 TEST(StringKernelsTest, ScratchReuseIsClean) {
@@ -211,28 +279,23 @@ TEST(StringKernelsTest, ScratchReuseIsClean) {
   }
 }
 
-// The prepared Monge-Elkan kernel skips token pairs whose length-difference
-// upper bound (JW <= 0.8 + 0.2 * shorter/longer) cannot raise either running
-// maximum, and memoizes Jaro-Winkler per token-id pair in the per-thread
-// scratch. Both must be exact: randomized values with duplicated tokens (so
-// equal-token 1.0 maxima arm the bound skip) and token lengths straddling
-// the 64-char bit-parallel boundary stay bit-identical to the raw reference,
-// across warm-memo re-evaluation and across suites (distinct dictionaries).
-TEST(PreparedParityTest, MongeElkanBoundAndMemoBitIdentical) {
+// The prepared Monge-Elkan kernel fuses both directions into one pass over
+// the right tokens, matching each right token's bit-parallel masks against
+// every left token, with equal-token (1.0) and disjoint-mask (0.0)
+// shortcuts. Randomized values with duplicated tokens and token lengths
+// straddling the 64-char bit-parallel boundary stay bit-identical to the raw
+// reference, also with one scratch reused across every evaluation.
+TEST(PreparedParityTest, MongeElkanBitIdentical) {
   const Schema schema({{"text", AttributeType::kText}});
-  auto make_suite = [&] {
-    return MetricSuite::FromSpecs(
-        schema, {MetricSpec{0, MetricKind::kMongeElkan, "text.monge_elkan"}});
-  };
-  MetricSuite suite = make_suite();
-  MetricSuite other = make_suite();  // separate TokenDictionary
+  const MetricSuite suite = MetricSuite::FromSpecs(
+      schema, {MetricSpec{0, MetricKind::kMongeElkan, "text.monge_elkan"}});
 
   Rng rng(31);
   auto random_token = [&](size_t len) {
     std::string t;
     t.reserve(len);
-    // Narrow alphabet: character masks overlap, so pairs reach the bound
-    // check and the kernel instead of the disjoint-mask shortcut.
+    // Narrow alphabet: character masks overlap, so pairs reach the kernel
+    // instead of the disjoint-mask shortcut.
     for (size_t i = 0; i < len; ++i) {
       t += static_cast<char>('a' + rng.Index(6));
     }
@@ -257,7 +320,7 @@ TEST(PreparedParityTest, MongeElkanBoundAndMemoBitIdentical) {
     return v;
   };
 
-  MetricScratch scratch;  // reused throughout: the memo stays warm
+  MetricScratch scratch;  // reused throughout
   for (int iter = 0; iter < 300; ++iter) {
     Record left;
     left.values.push_back(random_value());
@@ -267,25 +330,15 @@ TEST(PreparedParityTest, MongeElkanBoundAndMemoBitIdentical) {
     const double raw = suite.Evaluate(left, right, 0);
     const PreparedRecord pl = suite.PrepareRecord(left);
     const PreparedRecord pr = suite.PrepareRecord(right);
-    // Cold then warm: the second evaluation reads memoized JW values.
     ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw))
         << "'" << left.values[0] << "' vs '" << right.values[0] << "'";
+    // Re-evaluating on the same scratch stays exact (char_masks hygiene).
     ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw));
-    // A different suite's dictionary re-tags the scratch memo; evaluating
-    // under it and then returning to the first suite must stay exact (the
-    // ids of the two dictionaries collide by construction).
-    const PreparedRecord ol = other.PrepareRecord(left);
-    const PreparedRecord orr = other.PrepareRecord(right);
-    ASSERT_TRUE(BitEqual(other.EvaluatePrepared(ol, orr, 0, &scratch), raw));
-    ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw));
-    // Mixed-dictionary sides disable the memo (the values are prepared
-    // identically here — only the dictionary tags differ) but stay exact.
-    ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, orr, 0, &scratch), raw));
   }
 
-  // Deterministic boundary sweep: a shared token arms both maxima at
-  // exactly 1.0, so the long near-equal tokens hit the bound-skip decision
-  // at every bit-parallel kernel boundary length.
+  // Deterministic boundary sweep: a shared token scores exactly 1.0 in both
+  // directions next to long near-equal tokens at every bit-parallel kernel
+  // boundary length, on either side.
   for (const size_t la : {1u, 4u, 63u, 64u, 65u, 128u}) {
     for (const size_t lb : {1u, 4u, 63u, 64u, 65u, 128u}) {
       Record left;
