@@ -6,7 +6,7 @@
 // gateway's StageTiming reports, p50/p99 per-request latency over fixed-size
 // explicit-pair batches, a side-by-side raw vs prepared featurization
 // comparison (FeaturePipeline::Run vs RunPrepared on the same candidate
-// pairs, plus the one-time PreparedTable build cost), and a mixed
+// pairs, plus the one-time SideStore build cost), and a mixed
 // read/write scenario: a concurrent AddRecord writer at ~5% of operation
 // volume while the reader re-runs the batched requests — under the
 // snapshot storage model, reader p99 must stay in the read-only ballpark
@@ -171,10 +171,9 @@ int main() {
     const FeaturePipeline pipeline(suite, classifier);
 
     Timer prepare_timer;
-    const PreparedTable left_prepared =
-        PreparedTable::Build(workload->left(), suite);
-    const PreparedTable right_prepared =
-        PreparedTable::Build(workload->right(), suite);
+    const SideStore left_prepared = SideStore::Build(workload->left(), suite);
+    const SideStore right_prepared =
+        SideStore::Build(workload->right(), suite);
     prepare_tables_ms = prepare_timer.ElapsedMillis();
 
     auto measure = [&](auto&& run) {

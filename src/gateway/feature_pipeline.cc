@@ -6,8 +6,6 @@
 
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "gateway/namespace_segments.h"
-#include "gateway/shard_merge.h"
 
 namespace learnrisk {
 
@@ -118,118 +116,39 @@ Result<FeaturizedBatch> FeaturePipeline::RunProbe(
                  });
 }
 
-namespace {
-
-// Uniform row access over the two prepared-store types. Both are always
-// read through these helpers so the templated bodies below stay one copy.
-inline const PreparedRecord& PreparedRow(const PreparedTable& t, size_t i) {
-  return t.record(i);
-}
-inline const PreparedRecord& PreparedRow(const SideStore& t, size_t i) {
-  return t.prepared(i);
-}
-inline const PreparedRecord& PreparedRow(const ShardedSideView& t, size_t i) {
-  return t.prepared(i);
-}
-
-// Bounds checks. The sharded view addresses records by global id, where
-// validity is per-shard (a global id can exceed a momentarily smaller
-// sibling shard while being valid on its own shard), so it answers through
-// its exact InRange instead of a flat size comparison.
-inline bool RowInRange(const PreparedTable& t, size_t i) {
-  return i < t.size();
-}
-inline bool RowInRange(const SideStore& t, size_t i) { return i < t.size(); }
-inline bool RowInRange(const ShardedSideView& t, size_t i) {
-  return t.InRange(i);
-}
-
-}  // namespace
-
-template <typename LeftStore, typename RightStore>
-Result<FeaturizedBatch> FeaturePipeline::RunPreparedImpl(
-    const LeftStore& left, const RightStore& right,
+Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
+    const ShardedSideView& left, const ShardedSideView& right,
     const std::vector<RecordPair>& pairs) const {
   for (const RecordPair& pair : pairs) {
-    if (!RowInRange(left, pair.left) || !RowInRange(right, pair.right)) {
+    if (!left.InRange(pair.left) || !right.InRange(pair.right)) {
       return Status::OutOfRange("record pair index out of table range");
     }
-  }
-  // Contiguous stores (flat PreparedTables, single-segment SideStores)
-  // evaluate through direct row pointers, skipping per-access resolution.
-  const PreparedRecord* left_rows = left.contiguous_prepared();
-  const PreparedRecord* right_rows = right.contiguous_prepared();
-  if (left_rows != nullptr && right_rows != nullptr) {
-    return RunImpl(pairs.size(),
-                   [&](size_t i, double* row, MetricScratch* scratch) {
-                     suite_.EvaluatePairPreparedInto(
-                         left_rows[pairs[i].left], right_rows[pairs[i].right],
-                         scratch, row);
-                   });
   }
   return RunImpl(pairs.size(),
                  [&](size_t i, double* row, MetricScratch* scratch) {
                    suite_.EvaluatePairPreparedInto(
-                       PreparedRow(left, pairs[i].left),
-                       PreparedRow(right, pairs[i].right), scratch, row);
+                       left.prepared(pairs[i].left),
+                       right.prepared(pairs[i].right), scratch, row);
                  });
 }
 
-template <typename Store>
-Result<FeaturizedBatch> FeaturePipeline::RunProbePreparedImpl(
-    const PreparedRecord& probe, const Store& table,
+Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
+    const PreparedRecord& probe, const ShardedSideView& table,
     const std::vector<size_t>& candidates) const {
   if (probe.values.size() != suite_.schema().num_attributes()) {
     return Status::InvalidArgument(
         "probe record width does not match the pipeline schema");
   }
   for (size_t c : candidates) {
-    if (!RowInRange(table, c)) {
+    if (!table.InRange(c)) {
       return Status::OutOfRange("candidate record index out of table range");
     }
   }
   return RunImpl(candidates.size(),
                  [&](size_t i, double* row, MetricScratch* scratch) {
                    suite_.EvaluatePairPreparedInto(
-                       probe, PreparedRow(table, candidates[i]), scratch,
-                       row);
+                       probe, table.prepared(candidates[i]), scratch, row);
                  });
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
-    const PreparedTable& left, const PreparedTable& right,
-    const std::vector<RecordPair>& pairs) const {
-  return RunPreparedImpl(left, right, pairs);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
-    const PreparedRecord& probe, const PreparedTable& table,
-    const std::vector<size_t>& candidates) const {
-  return RunProbePreparedImpl(probe, table, candidates);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
-    const SideStore& left, const SideStore& right,
-    const std::vector<RecordPair>& pairs) const {
-  return RunPreparedImpl(left, right, pairs);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
-    const PreparedRecord& probe, const SideStore& table,
-    const std::vector<size_t>& candidates) const {
-  return RunProbePreparedImpl(probe, table, candidates);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
-    const ShardedSideView& left, const ShardedSideView& right,
-    const std::vector<RecordPair>& pairs) const {
-  return RunPreparedImpl(left, right, pairs);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
-    const PreparedRecord& probe, const ShardedSideView& table,
-    const std::vector<size_t>& candidates) const {
-  return RunProbePreparedImpl(probe, table, candidates);
 }
 
 }  // namespace learnrisk

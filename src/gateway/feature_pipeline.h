@@ -8,12 +8,15 @@
 //
 // Two equivalent paths exist. Run/RunProbe evaluate raw records (the
 // reference path: every record-level artifact re-derived per pair).
-// RunPrepared/RunProbePrepared evaluate PreparedRecords — per-record caches
-// built once via PrepareRecord/PreparedTable — through the suite's prepared
-// kernels with per-thread MetricScratch. Both paths are bit-identical to the
-// offline ComputeFeatures + PredictProbaAll stages over the same pairs
-// (enforced by tests/prepared_parity_test.cc); the prepared path is what the
-// gateway serves from, since blocking emits each record in many pairs.
+// RunPrepared/RunProbePrepared evaluate the PreparedRecords a
+// ShardedSideView exposes (per-record caches built once, when records enter
+// a SideStore) through the suite's prepared kernels with per-thread
+// MetricScratch. A lone SideStore converts to a 1-shard view, so one
+// prepared entry point serves unsharded and sharded stores alike. Both
+// paths are bit-identical to the offline ComputeFeatures + PredictProbaAll
+// stages over the same pairs (enforced by tests/prepared_parity_test.cc);
+// the prepared path is what the gateway serves from, since blocking emits
+// each record in many pairs.
 
 #ifndef LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
 #define LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
@@ -25,13 +28,11 @@
 #include "common/status.h"
 #include "data/table.h"
 #include "data/workload.h"
+#include "gateway/namespace_segments.h"
 #include "metrics/metric_suite.h"
 #include "metrics/prepared_record.h"
 
 namespace learnrisk {
-
-class SideStore;
-class ShardedSideView;
 
 /// \brief Featurization output for one batch of pairs: the metric rows (the
 /// rule-evaluation input) plus the classifier's equivalence probabilities —
@@ -92,40 +93,17 @@ class FeaturePipeline {
     return suite_.PrepareRecord(record);
   }
 
-  /// \brief Prepared fast path of Run: pairs index into two PreparedTables
-  /// built (and kept index-aligned) from the same tables under this
-  /// pipeline's suite. Bit-identical output to Run on the source tables.
-  Result<FeaturizedBatch> RunPrepared(const PreparedTable& left,
-                                      const PreparedTable& right,
-                                      const std::vector<RecordPair>& pairs)
-      const;
-
-  /// \brief Prepared fast path of RunProbe: one prepared probe against
-  /// prepared candidates. Bit-identical output to RunProbe.
-  Result<FeaturizedBatch> RunProbePrepared(
-      const PreparedRecord& probe, const PreparedTable& table,
-      const std::vector<size_t>& candidates) const;
-
-  /// \brief Segment-store overloads — the gateway's snapshot path. Pairs
-  /// (or candidates) index into SideStores whose prepared entries were
-  /// built under this pipeline's suite; output is bit-identical to the
-  /// PreparedTable overloads and to the raw reference path.
-  Result<FeaturizedBatch> RunPrepared(const SideStore& left,
-                                      const SideStore& right,
-                                      const std::vector<RecordPair>& pairs)
-      const;
-  Result<FeaturizedBatch> RunProbePrepared(
-      const PreparedRecord& probe, const SideStore& table,
-      const std::vector<size_t>& candidates) const;
-
-  /// \brief Sharded-view overloads — pairs (or candidates) carry *global*
-  /// record ids over a ShardedSideView of per-shard stores (see
-  /// gateway/shard_merge.h). Bit-identical to the single-store overloads on
-  /// the equivalent unsharded stores.
+  /// \brief Prepared fast path of Run: pairs carry global record ids into
+  /// two views whose stores were prepared under this pipeline's suite.
+  /// Bit-identical output to Run on the source tables.
   Result<FeaturizedBatch> RunPrepared(const ShardedSideView& left,
                                       const ShardedSideView& right,
                                       const std::vector<RecordPair>& pairs)
       const;
+
+  /// \brief Prepared fast path of RunProbe: one prepared probe against
+  /// candidates given as global record ids into `table`. Bit-identical
+  /// output to RunProbe.
   Result<FeaturizedBatch> RunProbePrepared(
       const PreparedRecord& probe, const ShardedSideView& table,
       const std::vector<size_t>& candidates) const;
@@ -144,18 +122,6 @@ class FeaturePipeline {
   /// then gather classifier columns and predict.
   template <typename EvalRow>
   Result<FeaturizedBatch> RunImpl(size_t n, const EvalRow& eval_row) const;
-
-  /// \brief Shared bodies of the prepared overloads, over any store
-  /// exposing size() + prepared rows (PreparedTable or SideStore); stores
-  /// whose rows are contiguous evaluate through direct pointers.
-  template <typename LeftStore, typename RightStore>
-  Result<FeaturizedBatch> RunPreparedImpl(
-      const LeftStore& left, const RightStore& right,
-      const std::vector<RecordPair>& pairs) const;
-  template <typename Store>
-  Result<FeaturizedBatch> RunProbePreparedImpl(
-      const PreparedRecord& probe, const Store& table,
-      const std::vector<size_t>& candidates) const;
 
   MetricSuite suite_;
   std::shared_ptr<const BinaryClassifier> classifier_;

@@ -130,6 +130,32 @@ Result<Table> ShardSubTable(const Table& src, size_t shard,
   return sub;
 }
 
+// The checks RegisterNamespace and RecoverNamespace both make on the
+// code-side half of a spec, in this order; `spec_kind` names the spec in
+// the messages.
+Status CheckPipelineSpec(const std::string& spec_kind,
+                         const MetricSuite& suite,
+                         const BinaryClassifier* classifier,
+                         const std::vector<size_t>& classifier_columns,
+                         const BlockingConfig& blocking,
+                         const Schema& schema) {
+  if (suite.num_metrics() == 0) {
+    return Status::InvalidArgument(spec_kind + " has an empty metric suite");
+  }
+  if (classifier == nullptr) {
+    return Status::InvalidArgument(spec_kind + " has no classifier");
+  }
+  for (size_t c : classifier_columns) {
+    if (c >= suite.num_metrics()) {
+      return Status::InvalidArgument("classifier column out of range");
+    }
+  }
+  if (blocking.key_attribute >= schema.num_attributes()) {
+    return Status::InvalidArgument("blocking key attribute out of range");
+  }
+  return Status::OK();
+}
+
 // The min(k, n) riskiest indices, risk descending, ties broken by original
 // order. One of these per request feeds BOTH trace capture and the review
 // enqueue, so the decisions are scanned once however many consumers want
@@ -595,6 +621,30 @@ void Gateway::RegisterStateGauges(
   }
 }
 
+Status Gateway::AddBaseShard(NamespaceState& state, const Table& left,
+                             const Table& right,
+                             const BlockingConfig& blocking) {
+  const Table& target = state.dedup ? left : right;
+  Result<BlockingIndex> index = BlockingIndex::Build(left, target, blocking);
+  if (!index.ok()) return index.status();
+  // The base snapshot owns segment copies of the sub-tables, so AddRecord
+  // can grow the namespace online without touching the caller's tables.
+  auto snapshot = std::make_shared<NamespaceSnapshot>();
+  snapshot->index = index.MoveValueOrDie();
+  snapshot->left = SideStore::Build(left, state.pipeline.suite());
+  if (!state.dedup) {
+    snapshot->right = SideStore::Build(right, state.pipeline.suite());
+  }
+  auto shard = std::make_unique<Shard>();
+  // The first snapshot is published before the state becomes visible in
+  // the namespace map; no reader can observe a null snapshot.
+  shard->snapshot = std::move(snapshot);
+  state.shards.push_back(std::move(shard));
+  state.routed_left.push_back(left.num_records());
+  state.routed_right.push_back(state.dedup ? 0 : right.num_records());
+  return Status::OK();
+}
+
 Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
   if (!ModelRegistry::ValidNamespace(ns)) {
     return Status::InvalidArgument("invalid namespace '" + ns + "'");
@@ -607,20 +657,9 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
     return Status::InvalidArgument(
         "left and right tables have different schemas");
   }
-  if (spec.suite.num_metrics() == 0) {
-    return Status::InvalidArgument("namespace spec has an empty metric suite");
-  }
-  if (spec.classifier == nullptr) {
-    return Status::InvalidArgument("namespace spec has no classifier");
-  }
-  for (size_t c : spec.classifier_columns) {
-    if (c >= spec.suite.num_metrics()) {
-      return Status::InvalidArgument("classifier column out of range");
-    }
-  }
-  if (spec.blocking.key_attribute >= spec.left->schema().num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
+  LEARNRISK_RETURN_NOT_OK(CheckPipelineSpec(
+      "namespace spec", spec.suite, spec.classifier.get(),
+      spec.classifier_columns, spec.blocking, spec.left->schema()));
   if (HasNamespace(ns)) {
     // Checked again at the emplace below (the build is lock-free and could
     // race another registration); this early exit just avoids building the
@@ -665,30 +704,9 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
     return num_shards == 1 ? *spec.right : right_parts[k];
   };
 
-  // Each shard's base snapshot owns segment copies of its sub-tables, so
-  // AddRecord can grow the namespace online without touching the caller's
-  // tables.
-  state->routed_left.assign(num_shards, 0);
-  state->routed_right.assign(num_shards, 0);
   for (size_t k = 0; k < num_shards; ++k) {
-    const Table& left_k = shard_left(k);
-    const Table& right_k = shard_right(k);
-    Result<BlockingIndex> index =
-        BlockingIndex::Build(left_k, right_k, spec.blocking);
-    if (!index.ok()) return index.status();
-    auto snapshot = std::make_shared<NamespaceSnapshot>();
-    snapshot->index = index.MoveValueOrDie();
-    snapshot->left = SideStore::Build(left_k, state->pipeline.suite());
-    if (!dedup) {
-      snapshot->right = SideStore::Build(right_k, state->pipeline.suite());
-    }
-    auto shard = std::make_unique<Shard>();
-    // Registration publishes the first snapshot before the state becomes
-    // visible in the map; no reader can observe a null snapshot.
-    shard->snapshot = std::move(snapshot);
-    state->shards.push_back(std::move(shard));
-    state->routed_left[k] = left_k.num_records();
-    if (!dedup) state->routed_right[k] = right_k.num_records();
+    LEARNRISK_RETURN_NOT_OK(
+        AddBaseShard(*state, shard_left(k), shard_right(k), spec.blocking));
   }
   // Instruments are get-or-create, so a registration that loses the emplace
   // race below simply shares the winner's instruments — nothing leaks.
@@ -1199,15 +1217,16 @@ Result<ResolveResponse> Gateway::Resolve(const std::string& ns,
     RequestStages::Span block(stages, kBlockStage);
     if (!request.block_all) {
       response.pairs = request.pairs;
-    } else if (snaps.size() == 1) {
-      response.pairs = snaps[0]->index.AllCandidates();
     } else {
       double merge_ms = 0.0;
       response.pairs = MergedAllCandidates(ShardIndexes(snaps), &merge_ms);
-      block.Stop();
-      // The merge phase is a sub-span of the blocking stage (already inside
-      // blocking_ms), surfaced separately so shard overhead is attributable.
-      stages.Add(kShardMergeStage, merge_ms);
+      if (snaps.size() > 1) {
+        block.Stop();
+        // The merge phase is a sub-span of the blocking stage (already
+        // inside blocking_ms), surfaced separately so shard overhead is
+        // attributable. With one shard no merge runs, so none is recorded.
+        stages.Add(kShardMergeStage, merge_ms);
+      }
     }
   }
   LEARNRISK_RETURN_NOT_OK(ScoreCandidates(
@@ -1237,12 +1256,10 @@ Result<ProbeResponse> Gateway::ResolveRecord(const std::string& ns,
       s.dedup ? BlockingSide::kLeft : BlockingSide::kRight;
   {
     RequestStages::Span block(stages, kBlockStage);
-    if (snaps.size() == 1) {
-      response.candidates = snaps[0]->index.Candidates(probe, target);
-    } else {
-      double merge_ms = 0.0;
-      response.candidates =
-          MergedCandidates(ShardIndexes(snaps), probe, target, &merge_ms);
+    double merge_ms = 0.0;
+    response.candidates =
+        MergedCandidates(ShardIndexes(snaps), probe, target, &merge_ms);
+    if (snaps.size() > 1) {
       block.Stop();
       stages.Add(kShardMergeStage, merge_ms);
     }
@@ -1494,20 +1511,9 @@ Status Gateway::RecoverNamespace(const std::string& ns,
   if (!ModelRegistry::ValidNamespace(ns)) {
     return Status::InvalidArgument("invalid namespace '" + ns + "'");
   }
-  if (spec.suite.num_metrics() == 0) {
-    return Status::InvalidArgument("recover spec has an empty metric suite");
-  }
-  if (spec.classifier == nullptr) {
-    return Status::InvalidArgument("recover spec has no classifier");
-  }
-  for (size_t c : spec.classifier_columns) {
-    if (c >= spec.suite.num_metrics()) {
-      return Status::InvalidArgument("classifier column out of range");
-    }
-  }
-  if (spec.blocking.key_attribute >= spec.schema.num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
+  LEARNRISK_RETURN_NOT_OK(CheckPipelineSpec(
+      "recover spec", spec.suite, spec.classifier.get(),
+      spec.classifier_columns, spec.blocking, spec.schema));
   if (HasNamespace(ns)) {
     return Status::FailedPrecondition("namespace '" + ns +
                                       "' already registered");
@@ -1523,9 +1529,10 @@ Status Gateway::RecoverNamespace(const std::string& ns,
 
   // Recover every shard's log up front (shard 0 is the whole namespace in
   // the unsharded layout), then rebuild the snapshots from the recovered
-  // tables exactly as registration builds them from a spec's sub-tables —
-  // same base-segment bulk load, so every query output is bit-identical to
-  // a gateway that added the same records and never crashed.
+  // tables through AddBaseShard, the builder registration uses for a
+  // spec's sub-tables — same base-segment bulk load, so every query output
+  // is bit-identical to a gateway that added the same records and never
+  // crashed.
   const DurabilityOptions shard_opts =
       ShardDurability(options_.durability, ns);
   std::vector<RecoveredNamespace> recovered(num_shards);
@@ -1554,27 +1561,12 @@ Status Gateway::RecoverNamespace(const std::string& ns,
       FeaturePipeline(std::move(spec.suite), std::move(spec.classifier),
                       std::move(spec.classifier_columns));
   state->pipeline.set_parallelism(options_.request_parallelism);
-  state->routed_left.assign(num_shards, 0);
-  state->routed_right.assign(num_shards, 0);
   for (size_t k = 0; k < num_shards; ++k) {
-    const RecoveredNamespace& rec = recovered[k];
-    Result<BlockingIndex> index = BlockingIndex::Build(
-        rec.left, rec.dedup ? rec.left : rec.right, spec.blocking);
-    if (!index.ok()) return index.status();
-    auto snapshot = std::make_shared<NamespaceSnapshot>();
-    snapshot->index = index.MoveValueOrDie();
-    snapshot->left = SideStore::Build(rec.left, state->pipeline.suite());
-    if (!rec.dedup) {
-      snapshot->right = SideStore::Build(rec.right, state->pipeline.suite());
-    }
-    auto shard = std::make_unique<Shard>();
-    shard->snapshot = std::move(snapshot);
-    shard->log = std::move(logs[k]);
-    state->shards.push_back(std::move(shard));
-    // Seed the writer routing at the recovered per-shard sizes; the
-    // least-loaded argmin naturally refills shards that recovered uneven.
-    state->routed_left[k] = rec.left.num_records();
-    if (!rec.dedup) state->routed_right[k] = rec.right.num_records();
+    // Routing is seeded at the recovered per-shard sizes; the least-loaded
+    // argmin naturally refills shards that recovered uneven.
+    LEARNRISK_RETURN_NOT_OK(AddBaseShard(*state, recovered[k].left,
+                                         recovered[k].right, spec.blocking));
+    state->shards[k]->log = std::move(logs[k]);
   }
   if (options_.enable_metrics) {
     state->metrics = CreateNamespaceMetrics(ns, state->pipeline.metric_names());

@@ -538,6 +538,15 @@ class Gateway {
   /// \brief Picks the shard for the next AddRecord on a side (least-loaded,
   /// lowest index on ties) and claims the slot under route_mu.
   static size_t RouteShard(NamespaceState& state, BlockingSide side);
+  /// \brief Builds one shard's base snapshot (blocking index and prepared
+  /// side stores) from its sub-tables, appends it to `state.shards`, and
+  /// seeds that shard's writer routing at the sub-table sizes. `right` is
+  /// ignored when `state.dedup`. Registration and recovery both build
+  /// shards here, so a recovered namespace is bit-identical to one that
+  /// added the same records and never crashed.
+  static Status AddBaseShard(NamespaceState& state, const Table& left,
+                             const Table& right,
+                             const BlockingConfig& blocking);
   /// \brief Checkpoint body for one shard; caller holds that shard's
   /// writer_mu and has verified shard.log is non-null. Shard 0 additionally
   /// persists the review queue (its mutations serialize on the same mutex,

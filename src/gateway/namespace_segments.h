@@ -16,12 +16,18 @@
 // access resolves the owning segment by binary search over the base-offset
 // table (one comparison when a store has a single segment, O(log segments)
 // after online appends).
+//
+// ShardedSideView presents one side's per-shard SideStores as a single
+// store addressed by global record ids (see gateway/shard_merge.h for the
+// id layout). It is the one input type of FeaturePipeline's prepared
+// entry points; a lone SideStore converts implicitly to a 1-shard view.
 
 #ifndef LEARNRISK_GATEWAY_NAMESPACE_SEGMENTS_H_
 #define LEARNRISK_GATEWAY_NAMESPACE_SEGMENTS_H_
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "data/table.h"
@@ -71,9 +77,10 @@ class SideStore {
   size_t segment_count() const { return segments_.size(); }
 
   /// \brief Direct pointer to the prepared rows when the store is a single
-  /// contiguous segment (the common case: bulk registration with few or no
-  /// online appends); nullptr otherwise. The featurize hot loop uses this
-  /// to skip the per-access segment resolution.
+  /// contiguous segment (bulk registration with no online appends); nullptr
+  /// otherwise. Featurization does not use it (a one-segment Locate is one
+  /// comparison); it remains as the probe behind the benchmark's
+  /// `segments.contiguous_end` share.
   const PreparedRecord* contiguous_prepared() const {
     return segments_.size() == 1 ? segments_[0]->prepared.data() : nullptr;
   }
@@ -105,6 +112,36 @@ class SideStore {
   std::vector<std::shared_ptr<const SideSegment>> segments_;
   std::vector<size_t> bases_;  ///< bases_[k] = global index of segment k's row 0
   size_t size_ = 0;
+};
+
+/// \brief A read-only view over one side's per-shard SideStores, addressed
+/// by global record ids: global id g lives on shard g % S at local index
+/// g / S. The stores (and the snapshots owning them) must outlive the view;
+/// the gateway pins its per-request shard snapshots for exactly this reason.
+class ShardedSideView {
+ public:
+  explicit ShardedSideView(std::vector<const SideStore*> stores)
+      : stores_(std::move(stores)) {}
+  /// \brief A 1-shard view, where global ids are the store's own indices.
+  /// Implicit, so a SideStore can be passed wherever a view is expected.
+  ShardedSideView(const SideStore& store)  // NOLINT(runtime/explicit)
+      : stores_{&store} {}
+
+  /// \brief True iff `global_id` resolves to an existing record of its
+  /// shard. Exact per shard: while a sibling shard is momentarily shorter,
+  /// an id below the total record count can still be out of range.
+  bool InRange(size_t global_id) const {
+    return global_id / stores_.size() <
+           stores_[global_id % stores_.size()]->size();
+  }
+
+  const PreparedRecord& prepared(size_t global_id) const {
+    return stores_[global_id % stores_.size()]->prepared(global_id /
+                                                         stores_.size());
+  }
+
+ private:
+  std::vector<const SideStore*> stores_;
 };
 
 }  // namespace learnrisk

@@ -13,10 +13,10 @@
 // unsharded index over the same records at any S (enforced by
 // tests/gateway_shard_test.cc).
 //
-// ShardedSideView is the featurization counterpart: a zero-copy view
-// presenting S per-shard SideStores as one global-id-addressed store, so
-// FeaturePipeline::RunPrepared can evaluate merged candidate pairs without
-// materializing anything.
+// ShardedSideView (gateway/namespace_segments.h) is the featurization
+// counterpart: a zero-copy view presenting S per-shard SideStores as one
+// global-id-addressed store, so FeaturePipeline::RunPrepared evaluates
+// merged candidate pairs without materializing anything.
 
 #ifndef LEARNRISK_GATEWAY_SHARD_MERGE_H_
 #define LEARNRISK_GATEWAY_SHARD_MERGE_H_
@@ -27,7 +27,6 @@
 #include "data/table.h"
 #include "data/workload.h"
 #include "gateway/blocking_index.h"
-#include "gateway/namespace_segments.h"
 
 namespace learnrisk {
 
@@ -43,56 +42,6 @@ inline size_t LocalOfId(size_t global_id, size_t num_shards) {
 inline size_t GlobalId(size_t local, size_t shard, size_t num_shards) {
   return local * num_shards + shard;
 }
-
-/// \brief A read-only view over one namespace side's per-shard SideStores,
-/// addressed by global record ids. The stores (and the snapshots owning
-/// them) must outlive the view — the gateway pins its per-request shard
-/// snapshots for exactly this reason.
-class ShardedSideView {
- public:
-  ShardedSideView() = default;
-  explicit ShardedSideView(std::vector<const SideStore*> stores)
-      : stores_(std::move(stores)) {
-    for (const SideStore* store : stores_) size_ += store->size();
-  }
-
-  /// \brief Total records across shards. Note that global ids are only
-  /// guaranteed contiguous in [0, size()) when the shards are balanced
-  /// (|shard sizes| differ by at most 1); bounds checks go through
-  /// InRange, which is exact per shard.
-  size_t size() const { return size_; }
-  size_t shard_count() const { return stores_.size(); }
-
-  /// \brief True iff `global_id` resolves to an existing record of its
-  /// shard (exact even when shard sizes are momentarily unbalanced).
-  bool InRange(size_t global_id) const {
-    return global_id / stores_.size() <
-           stores_[global_id % stores_.size()]->size();
-  }
-
-  const PreparedRecord& prepared(size_t global_id) const {
-    return stores_[global_id % stores_.size()]->prepared(global_id /
-                                                         stores_.size());
-  }
-  const Record& record(size_t global_id) const {
-    return stores_[global_id % stores_.size()]->record(global_id /
-                                                       stores_.size());
-  }
-  int64_t entity_id(size_t global_id) const {
-    return stores_[global_id % stores_.size()]->entity_id(global_id /
-                                                          stores_.size());
-  }
-
-  /// \brief Direct row pointer when the view degenerates to one contiguous
-  /// store (S == 1); nullptr otherwise — mirrors SideStore.
-  const PreparedRecord* contiguous_prepared() const {
-    return stores_.size() == 1 ? stores_[0]->contiguous_prepared() : nullptr;
-  }
-
- private:
-  std::vector<const SideStore*> stores_;
-  size_t size_ = 0;
-};
 
 /// \brief Every candidate pair implied by the union of the per-shard
 /// postings, bit-identical (same pairs, same deterministic ordering, same

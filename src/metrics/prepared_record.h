@@ -18,16 +18,13 @@
 #ifndef LEARNRISK_METRICS_PREPARED_RECORD_H_
 #define LEARNRISK_METRICS_PREPARED_RECORD_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "data/table.h"
-
 namespace learnrisk {
-
-class MetricSuite;
 
 /// \brief One normalized element of an entity-set attribute, pre-tokenized
 /// for the abbreviation-aware equivalence test DistinctEntity runs per pair.
@@ -77,38 +74,6 @@ struct PreparedValue {
 /// \brief One record's cached derivations, indexed by attribute.
 struct PreparedRecord {
   std::vector<PreparedValue> values;  ///< one per schema attribute
-};
-
-/// \brief A table's records in prepared form, index-aligned with the source
-/// Table. Built in one parallel pass; Append keeps it aligned as records
-/// arrive online. The prepared entries borrow their raw attribute strings
-/// from the source records (zero copy), so the table — and any record
-/// passed to Append — must outlive the PreparedTable. (The gateway's
-/// serving path instead uses SideStore segments, which own record and
-/// prepared storage together; see src/gateway/namespace_segments.h.)
-class PreparedTable {
- public:
-  PreparedTable() = default;
-
-  /// \brief Prepares every record of `table` under `suite` (parallel).
-  /// Borrows: `table` must outlive the result.
-  static PreparedTable Build(const Table& table, const MetricSuite& suite);
-
-  /// \brief Prepares and appends one record (same suite as Build).
-  /// Borrows: `record` must stay alive and unmoved for the lifetime of
-  /// this table — its strings are referenced, not copied.
-  void Append(const Record& record, const MetricSuite& suite);
-
-  size_t size() const { return records_.size(); }
-  const PreparedRecord& record(size_t i) const { return records_[i]; }
-
-  /// \brief Direct pointer to the rows (always contiguous here); mirrors
-  /// SideStore::contiguous_prepared so featurization code can treat both
-  /// prepared-store types uniformly.
-  const PreparedRecord* contiguous_prepared() const { return records_.data(); }
-
- private:
-  std::vector<PreparedRecord> records_;
 };
 
 }  // namespace learnrisk

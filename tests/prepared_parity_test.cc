@@ -1,11 +1,12 @@
 // Copyright 2026 The LearnRisk Authors
 // Parity suite for the prepared featurization path: the record-level cache
-// (PrepareRecord / PreparedTable) plus the scratch string kernels must be
+// (PrepareRecord / SideStore) plus the scratch string kernels must be
 // *bit-identical* to the raw reference path across every MetricKind,
 // including empty / whitespace / punctuation-only / high-bit ("unicode-ish")
 // / NaN-parsing numeric values and string lengths straddling the 64-char
 // bit-parallel kernel boundary. Also covers the FeaturePipeline prepared
-// entry points and the gateway's cache invalidation after AddRecord.
+// entry points (over one SideStore and over a multi-store ShardedSideView)
+// and the gateway's cache invalidation after AddRecord.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,9 @@
 #include "classifier/logistic.h"
 #include "common/random.h"
 #include "data/generators.h"
+#include "gateway/feature_pipeline.h"
 #include "gateway/gateway.h"
+#include "gateway/namespace_segments.h"
 #include "metrics/metric_suite.h"
 #include "metrics/prepared_record.h"
 #include "metrics/similarity.h"
@@ -428,8 +431,8 @@ TEST(PreparedParityTest, FeaturePipelinePreparedMatchesRaw) {
   std::vector<size_t> columns;
   for (size_t c = 0; c < suite.num_metrics(); c += 2) columns.push_back(c);
   const FeaturePipeline pipeline(suite, classifier, columns);
-  const PreparedTable left = PreparedTable::Build(ds.left(), suite);
-  const PreparedTable right = PreparedTable::Build(ds.right(), suite);
+  const SideStore left = SideStore::Build(ds.left(), suite);
+  const SideStore right = SideStore::Build(ds.right(), suite);
 
   auto raw = pipeline.Run(ds.left(), ds.right(), ds.pairs());
   auto prepared = pipeline.RunPrepared(left, right, ds.pairs());
@@ -459,17 +462,17 @@ TEST(PreparedParityTest, FeaturePipelinePreparedMatchesRaw) {
     ASSERT_TRUE(BitEqual(raw_probe->probs[i], prepared_probe->probs[i])) << i;
   }
 
-  // Out-of-range pairs are rejected against the prepared tables too.
+  // Out-of-range pairs are rejected against the prepared stores too.
   auto bad = pipeline.RunPrepared(left, right,
                                   {{ds.left().num_records(), 0, false}});
   EXPECT_TRUE(bad.status().IsOutOfRange());
 }
 
-// PreparedTable::Append borrows the appended record's strings instead of
-// deep-copying them (PreparedValue::raw is a view into the caller-owned
-// record), and the borrowed entry still evaluates bit-identically to the
-// raw path.
-TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
+// A SideStore's appended tail segment owns its record, and the prepared
+// entry borrows that record's strings instead of deep-copying them
+// (PreparedValue::raw is a view into the segment's own record); the borrowed
+// entry still evaluates bit-identically to the raw path.
+TEST(PreparedParityTest, SideStoreAppendBorrowsWithoutCopy) {
   GeneratorOptions options;
   options.scale = 0.02;
   options.seed = 13;
@@ -478,8 +481,7 @@ TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
   suite.Fit(ds);
 
   // Rebuild the right table minus its last record, then learn that record
-  // through Append. The sources (head table + extra record) stay alive and
-  // unmoved, per the borrow contract.
+  // through WithAppended.
   const Table& right = ds.right();
   ASSERT_GT(right.num_records(), 1u);
   const size_t last = right.num_records() - 1;
@@ -489,19 +491,21 @@ TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
   }
   const Record extra = right.record(last);
 
-  PreparedTable grown = PreparedTable::Build(head, suite);
-  grown.Append(extra, suite);
+  const SideStore grown = SideStore::Build(head, suite).WithAppended(
+      extra, right.entity_id(last), suite);
   ASSERT_EQ(grown.size(), right.num_records());
+  ASSERT_EQ(grown.segment_count(), 2u);
 
-  // Zero-copy: every populated raw view aliases the extra record's own
-  // string storage (no duplicated bytes).
-  const PreparedRecord& appended = grown.record(last);
+  // Zero-copy: every populated raw view aliases the tail segment's own
+  // record storage (no duplicated bytes).
+  const PreparedRecord& appended = grown.prepared(last);
+  const Record& stored = grown.record(last);
   size_t populated = 0;
   for (size_t a = 0; a < appended.values.size(); ++a) {
     const std::string_view raw = appended.values[a].raw;
     if (raw.empty()) continue;
     ++populated;
-    EXPECT_EQ(raw.data(), extra.values[a].data())
+    EXPECT_EQ(raw.data(), stored.values[a].data())
         << "attribute " << a << " was copied, not borrowed";
   }
   EXPECT_GT(populated, 0u);  // the suite has character-level metrics
@@ -510,10 +514,10 @@ TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
   MetricScratch scratch;
   std::vector<double> prepared_row(suite.num_metrics());
   std::vector<double> raw_row(suite.num_metrics());
-  const PreparedTable left = PreparedTable::Build(ds.left(), suite);
+  const SideStore left = SideStore::Build(ds.left(), suite);
   for (size_t l = 0; l < std::min<size_t>(ds.left().num_records(), 25);
        ++l) {
-    suite.EvaluatePairPreparedInto(left.record(l), appended, &scratch,
+    suite.EvaluatePairPreparedInto(left.prepared(l), appended, &scratch,
                                    prepared_row.data());
     suite.EvaluatePairInto(ds.left().record(l), extra, raw_row.data());
     for (size_t m = 0; m < suite.num_metrics(); ++m) {
@@ -521,6 +525,105 @@ TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
           << "left " << l << " metric " << suite.specs()[m].name;
     }
   }
+}
+
+// Shard `shard` of `num_shards` in the gateway's round-robin layout: the
+// records whose global id (table index) is congruent to `shard`.
+Table RoundRobinPart(const Table& table, size_t shard, size_t num_shards) {
+  Table part(table.schema());
+  for (size_t i = shard; i < table.num_records(); i += num_shards) {
+    EXPECT_TRUE(part.Append(table.record(i), table.entity_id(i)).ok());
+  }
+  return part;
+}
+
+void ExpectBatchesBitEqual(const FeaturizedBatch& a, const FeaturizedBatch& b) {
+  ASSERT_EQ(a.probs.size(), b.probs.size());
+  ASSERT_EQ(a.features.cols(), b.features.cols());
+  for (size_t i = 0; i < a.probs.size(); ++i) {
+    ASSERT_TRUE(BitEqual(a.probs[i], b.probs[i])) << i;
+    for (size_t m = 0; m < a.features.cols(); ++m) {
+      ASSERT_TRUE(BitEqual(a.features.at(i, m), b.features.at(i, m)))
+          << i << "," << m;
+    }
+  }
+}
+
+// A multi-store view addressed by global ids featurizes exactly like one
+// SideStore holding the whole table, and its bounds check is exact per
+// shard rather than a comparison against the total record count.
+TEST(PreparedParityTest, ShardedViewMatchesSingleStore) {
+  GeneratorOptions options;
+  options.scale = 0.02;
+  options.seed = 17;
+  Workload ds = GenerateDataset("DS", options).MoveValueOrDie();
+  MetricSuite suite = MetricSuite::ForSchema(ds.left().schema());
+  suite.Fit(ds);
+  const FeatureMatrix features = ComputeFeatures(ds, suite);
+  LogisticOptions logistic;
+  logistic.epochs = 10;
+  logistic.seed = 5;
+  auto classifier = std::make_shared<LogisticClassifier>(logistic);
+  ASSERT_TRUE(classifier->Train(features, ds.Labels()).ok());
+  const FeaturePipeline pipeline(suite, classifier);
+
+  const SideStore whole_left = SideStore::Build(ds.left(), suite);
+  const SideStore whole_right = SideStore::Build(ds.right(), suite);
+  constexpr size_t kShards = 2;
+  std::vector<SideStore> left_parts;
+  std::vector<SideStore> right_parts;
+  for (size_t k = 0; k < kShards; ++k) {
+    left_parts.push_back(
+        SideStore::Build(RoundRobinPart(ds.left(), k, kShards), suite));
+    right_parts.push_back(
+        SideStore::Build(RoundRobinPart(ds.right(), k, kShards), suite));
+  }
+  const ShardedSideView left_view({&left_parts[0], &left_parts[1]});
+  const ShardedSideView right_view({&right_parts[0], &right_parts[1]});
+
+  auto single = pipeline.RunPrepared(whole_left, whole_right, ds.pairs());
+  auto sharded = pipeline.RunPrepared(left_view, right_view, ds.pairs());
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_EQ(single->probs.size(), ds.size());
+  ExpectBatchesBitEqual(*single, *sharded);
+
+  const PreparedRecord probe = pipeline.Prepare(ds.left().record(0));
+  std::vector<size_t> candidates;
+  for (size_t c = 0; c < ds.right().num_records(); c += 3) {
+    candidates.push_back(c);
+  }
+  auto single_probe =
+      pipeline.RunProbePrepared(probe, whole_right, candidates);
+  auto sharded_probe =
+      pipeline.RunProbePrepared(probe, right_view, candidates);
+  ASSERT_TRUE(single_probe.ok());
+  ASSERT_TRUE(sharded_probe.ok());
+  ExpectBatchesBitEqual(*single_probe, *sharded_probe);
+
+  // Unbalanced shards of sizes 3 and 1 hold global ids {0, 2, 4} and {1}.
+  // Global id 3 is below the total of 4, but shard 1 has no local index 1.
+  Table three(ds.right().schema());
+  Table one(ds.right().schema());
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(three.Append(ds.right().record(i), ds.right().entity_id(i))
+                    .ok());
+  }
+  ASSERT_TRUE(one.Append(ds.right().record(3), ds.right().entity_id(3)).ok());
+  const SideStore shard0 = SideStore::Build(three, suite);
+  const SideStore shard1 = SideStore::Build(one, suite);
+  const ShardedSideView unbalanced({&shard0, &shard1});
+  EXPECT_TRUE(unbalanced.InRange(4));
+  EXPECT_FALSE(unbalanced.InRange(3));
+  EXPECT_TRUE(pipeline.RunPrepared(whole_left, unbalanced, {{0, 4, false}})
+                  .ok());
+  EXPECT_TRUE(pipeline.RunPrepared(whole_left, unbalanced, {{0, 3, false}})
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(pipeline.RunProbePrepared(probe, unbalanced, {1, 4}).ok());
+  EXPECT_TRUE(pipeline.RunProbePrepared(probe, unbalanced, {3})
+                  .status()
+                  .IsOutOfRange());
 }
 
 // After AddRecord, the namespace's prepared cache must include the new

@@ -104,7 +104,7 @@ if [ ! -f "$api_doc" ]; then
   fail=1
 else
   for symbol in Gateway ModelRegistry ServingEngine CompiledRuleSet \
-                MetricSuite PreparedTable NamespaceLog DurabilityOptions \
+                MetricSuite SideStore NamespaceLog DurabilityOptions \
                 MetricsSnapshot StageTiming ReviewQueue ReviewSession; do
     if ! grep -q "$symbol" "$api_doc"; then
       echo "docs/API.md does not document $symbol"
