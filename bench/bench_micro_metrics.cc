@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string_view>
+#include <utility>
+
 #include "common/math_util.h"
 #include "metrics/difference.h"
 #include "metrics/metric_suite.h"
@@ -20,6 +23,14 @@ namespace {
 
 const char* kTitleA = "towards interpretable and learnable risk analysis";
 const char* kTitleB = "toward interpretble and lernable risk analysis for er";
+// A long title pair whose middle, after the common prefix and suffix are
+// stripped, still exceeds 64 chars on both sides: the multi-word kernels.
+const char* kLongTitleA =
+    "a bit-vector algorithm for computing levenshtein and damerau edit "
+    "distances over long strings";
+const char* kLongTitleB =
+    "an efficient bit vector algorithm computing the levenshtein and damerau "
+    "edit distance of long string pairs";
 const char* kAuthorsA = "zhaoqiang chen, qun chen, boyi hou, tianyi duan";
 const char* kAuthorsB = "z chen, q chen, b hou, g li";
 
@@ -37,14 +48,34 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler);
 
-void BM_JaroWinklerFast(benchmark::State& state) {
+// The served string kernels run on one reused scratch over the pair Arg
+// selects: 0 the title pair (one-word kernels), 1 the long title pair
+// (multi-word kernels).
+std::pair<std::string_view, std::string_view> KernelPair(
+    benchmark::State& state) {
+  const bool one_word = state.range(0) == 0;
+  state.SetLabel(one_word ? "title" : "long title");
+  if (one_word) return {kTitleA, kTitleB};
+  return {kLongTitleA, kLongTitleB};
+}
+
+void BM_EditDistanceFast(benchmark::State& state) {
+  const auto [a, b] = KernelPair(state);
   MetricScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        JaroWinklerSimilarityFast(kTitleA, kTitleB, &scratch));
+    benchmark::DoNotOptimize(EditDistanceFast(a, b, &scratch));
   }
 }
-BENCHMARK(BM_JaroWinklerFast);
+BENCHMARK(BM_EditDistanceFast)->Arg(0)->Arg(1);
+
+void BM_JaroWinklerFast(benchmark::State& state) {
+  const auto [a, b] = KernelPair(state);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JaroWinklerSimilarityFast(a, b, &scratch));
+  }
+}
+BENCHMARK(BM_JaroWinklerFast)->Arg(0)->Arg(1);
 
 void BM_TokenJaccard(benchmark::State& state) {
   for (auto _ : state) {
@@ -59,6 +90,15 @@ void BM_LcsRatio(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LcsRatio);
+
+void BM_LcsRatioFast(benchmark::State& state) {
+  const auto [a, b] = KernelPair(state);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LcsRatioFast(a, b, &scratch));
+  }
+}
+BENCHMARK(BM_LcsRatioFast)->Arg(0)->Arg(1);
 
 void BM_MongeElkan(benchmark::State& state) {
   for (auto _ : state) {

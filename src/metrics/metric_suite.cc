@@ -399,8 +399,9 @@ double PreparedDistinctEntityCount(const PreparedValue& a,
 ///
 /// The pass walks the right tokens outermost: each right token of at most
 /// 64 chars has its position masks built once and matched bit-parallel
-/// against every left token (JaroWinklerAgainstMasks); longer ones take the
-/// scalar kernel. Two exact shortcuts skip the kernel: equal tokens score
+/// against every left token (JaroWinklerAgainstMasks); longer ones take
+/// JaroWinklerSimilarityFast's multi-word match, masks built per pair. Two
+/// exact shortcuts skip the kernel: equal tokens score
 /// exactly 1.0, and tokens with disjoint character masks score exactly 0.0
 /// (no matches and no shared prefix).
 double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,

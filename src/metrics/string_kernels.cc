@@ -21,6 +21,32 @@ void ClearCharMasks(std::string_view pattern, MetricScratch* scratch) {
 
 namespace {
 
+/// Builds the multi-word position masks of `pattern` into
+/// scratch->block_masks (bit i % 64 of entry c * stride + i / 64 is set iff
+/// pattern[i] == c) and returns the stride, the words per character. The
+/// table is all-zero on entry: it grows, zeroed, only when a pattern needs
+/// more words than it holds, and ClearBlockMasks zeroes the entries this set.
+size_t BuildBlockMasks(std::string_view pattern, MetricScratch* scratch) {
+  const size_t words = (pattern.size() + 63) / 64;
+  std::vector<uint64_t>& table = scratch->block_masks;
+  if (table.size() < 256 * words) table.assign(256 * words, 0);
+  const size_t stride = table.size() / 256;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    table[static_cast<unsigned char>(pattern[i]) * stride + i / 64] |=
+        uint64_t{1} << (i % 64);
+  }
+  return stride;
+}
+
+/// Zeroes the block_masks entries BuildBlockMasks(pattern) set.
+void ClearBlockMasks(std::string_view pattern, size_t stride,
+                     MetricScratch* scratch) {
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    scratch->block_masks[static_cast<unsigned char>(pattern[i]) * stride +
+                         i / 64] = 0;
+  }
+}
+
 /// Strips the common prefix and (non-overlapping) common suffix of two
 /// string views in place; returns {prefix_len, suffix_len}. Both edit
 /// distance and LCS decompose over this split: equal border characters never
@@ -70,26 +96,51 @@ size_t MyersEditDistance(std::string_view a, std::string_view b,
   return score;
 }
 
-/// Two-row int32 DP fallback for remainders longer than 64 chars; identical
-/// recurrence to EditDistance() (lengths fit int32 comfortably).
-size_t DpEditDistance(std::string_view a, std::string_view b,
-                      MetricScratch* scratch) {
-  const size_t n = a.size();
-  std::vector<int32_t>& prev = scratch->dp_prev;
-  std::vector<int32_t>& cur = scratch->dp_cur;
-  prev.resize(n + 1);
-  cur.resize(n + 1);
-  for (size_t i = 0; i <= n; ++i) prev[i] = static_cast<int32_t>(i);
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = static_cast<int32_t>(j);
-    const char bc = b[j - 1];
-    for (size_t i = 1; i <= n; ++i) {
-      const int32_t sub = prev[i - 1] + (a[i - 1] == bc ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
+/// Myers' algorithm over W = ceil(|a| / 64) words for |a| > 64 (Hyyro's
+/// blocked form). Each word is one 64-row block of the DP column; the
+/// horizontal delta at a block's last row (+1, -1 or 0) enters the next
+/// block as its top-row delta, a -1 acting as a match at the block's first
+/// row. The score is tracked at row |a|, bit (|a| - 1) % 64 of the last
+/// word; bits above it in that word never flow down into it.
+size_t BlockedEditDistance(std::string_view a, std::string_view b,
+                           MetricScratch* scratch) {
+  const size_t words = (a.size() + 63) / 64;
+  const size_t stride = BuildBlockMasks(a, scratch);
+  std::vector<uint64_t>& vp = scratch->block_a;
+  std::vector<uint64_t>& vn = scratch->block_b;
+  vp.assign(words, ~uint64_t{0});
+  vn.assign(words, 0);
+  const uint64_t last = uint64_t{1} << ((a.size() - 1) % 64);
+  size_t score = a.size();
+  for (char c : b) {
+    const uint64_t* peq =
+        scratch->block_masks.data() + static_cast<unsigned char>(c) * stride;
+    uint64_t hp_in = 1;  // row 0 of the DP grows by one per text char
+    uint64_t hn_in = 0;
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t pv = vp[w];
+      const uint64_t mv = vn[w];
+      const uint64_t xv = peq[w] | mv;
+      const uint64_t x = peq[w] | hn_in;
+      const uint64_t d0 = (((x & pv) + pv) ^ pv) | x | mv;
+      uint64_t ph = mv | ~(d0 | pv);
+      uint64_t mh = pv & d0;
+      if (w + 1 == words) {
+        if (ph & last) ++score;
+        if (mh & last) --score;
+      }
+      const uint64_t hp_out = ph >> 63;
+      const uint64_t hn_out = mh >> 63;
+      ph = (ph << 1) | hp_in;
+      mh = (mh << 1) | hn_in;
+      vp[w] = mh | ~(xv | ph);
+      vn[w] = ph & xv;
+      hp_in = hp_out;
+      hn_in = hn_out;
     }
-    std::swap(prev, cur);
   }
-  return static_cast<size_t>(prev[n]);
+  ClearBlockMasks(a, stride, scratch);
+  return score;
 }
 
 /// Allison-Dix bit-parallel LLCS for |a| <= 64: V starts all-ones; each text
@@ -111,21 +162,37 @@ size_t BitParallelLcs(std::string_view a, std::string_view b,
   return a.size() - static_cast<size_t>(__builtin_popcountll(v & low));
 }
 
-/// Two-row int32 LCS DP fallback; identical recurrence to LcsRatio()'s.
-size_t DpLcs(std::string_view a, std::string_view b, MetricScratch* scratch) {
-  const size_t n = a.size();
-  std::vector<int32_t>& prev = scratch->dp_prev;
-  std::vector<int32_t>& cur = scratch->dp_cur;
-  prev.assign(n + 1, 0);
-  cur.assign(n + 1, 0);
-  for (size_t j = 1; j <= b.size(); ++j) {
-    const char bc = b[j - 1];
-    for (size_t i = 1; i <= n; ++i) {
-      cur[i] = a[i - 1] == bc ? prev[i - 1] + 1 : std::max(prev[i], cur[i - 1]);
+/// Allison-Dix LLCS over W = ceil(|a| / 64) words for |a| > 64. The
+/// addition V + U carries from word to word; V - U needs no borrow (U is a
+/// subset of V), so it stays word-local. Bits above |a| in the last word
+/// take carries but never pass one down; they are masked off at the count.
+size_t BlockedLcs(std::string_view a, std::string_view b,
+                  MetricScratch* scratch) {
+  const size_t words = (a.size() + 63) / 64;
+  const size_t stride = BuildBlockMasks(a, scratch);
+  std::vector<uint64_t>& v = scratch->block_a;
+  v.assign(words, ~uint64_t{0});
+  for (char c : b) {
+    const uint64_t* m =
+        scratch->block_masks.data() + static_cast<unsigned char>(c) * stride;
+    uint64_t carry = 0;
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t vw = v[w];
+      const uint64_t u = vw & m[w];
+      const uint64_t sum = vw + u;
+      const uint64_t total = sum + carry;
+      carry = (sum < vw) | (total < sum);
+      v[w] = total | (vw - u);
     }
-    std::swap(prev, cur);
   }
-  return static_cast<size_t>(prev[n]);
+  ClearBlockMasks(a, stride, scratch);
+  const size_t tail = a.size() % 64;
+  if (tail != 0) v[words - 1] &= (uint64_t{1} << tail) - 1;
+  size_t ones = 0;
+  for (size_t w = 0; w < words; ++w) {
+    ones += static_cast<size_t>(__builtin_popcountll(v[w]));
+  }
+  return a.size() - ones;
 }
 
 /// The reference's Jaro formula, operation for operation.
@@ -180,32 +247,56 @@ double BitParallelJaro(std::string_view a, std::string_view b,
   return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
-/// Scalar greedy Jaro for non-empty a and b: the reference's two passes,
-/// with the match flags in reusable byte buffers.
-double ScalarJaro(std::string_view a, std::string_view b,
-                  MetricScratch* scratch) {
+/// Greedy Jaro for non-empty a and |b| > 64, over b's multi-word position
+/// masks: BitParallelJaro's match with the window spread over the words
+/// it covers. Each a[i] takes the lowest set bit of
+/// masks[a[i]] & window(i) & ~flagged, scanning the window's words upward,
+/// and marks i in a's flag words; transpositions pair a's flagged positions
+/// with b's flagged positions in order, word by word.
+double BlockedJaro(std::string_view a, std::string_view b,
+                   MetricScratch* scratch) {
   const size_t window = JaroWindow(a, b);
-  scratch->a_flags.assign(a.size(), 0);
-  scratch->b_flags.assign(b.size(), 0);
+  const size_t stride = BuildBlockMasks(b, scratch);
+  std::vector<uint64_t>& b_flagged = scratch->block_a;
+  std::vector<uint64_t>& a_flagged = scratch->block_b;
+  b_flagged.assign((b.size() + 63) / 64, 0);
+  a_flagged.assign((a.size() + 63) / 64, 0);
   size_t matches = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     const size_t lo = i > window ? i - window : 0;
+    if (lo >= b.size()) break;  // lo only grows: no later window reaches b
+    // The reference's window [lo, hi): lo cuts the first word it touches,
+    // hi the last one unless it ends on a word boundary.
     const size_t hi = std::min(b.size(), i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (scratch->b_flags[j] || a[i] != b[j]) continue;
-      scratch->a_flags[i] = scratch->b_flags[j] = 1;
+    const uint64_t* masks =
+        scratch->block_masks.data() + static_cast<unsigned char>(a[i]) * stride;
+    for (size_t w = lo / 64; w <= (hi - 1) / 64; ++w) {
+      uint64_t open = masks[w] & ~b_flagged[w];
+      if (w == lo / 64) open &= ~uint64_t{0} << (lo % 64);
+      if (w == (hi - 1) / 64 && hi % 64 != 0) {
+        open &= (uint64_t{1} << (hi % 64)) - 1;
+      }
+      if (open == 0) continue;
+      b_flagged[w] |= open & (~open + 1);  // lowest set bit
+      a_flagged[i / 64] |= uint64_t{1} << (i % 64);
       ++matches;
       break;
     }
   }
+  ClearBlockMasks(b, stride, scratch);
   if (matches == 0) return 0.0;
   size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!scratch->a_flags[i]) continue;
-    while (!scratch->b_flags[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
+  size_t bw = 0;
+  uint64_t b_rest = b_flagged[0];
+  for (size_t aw = 0; aw < a_flagged.size(); ++aw) {
+    for (uint64_t a_rest = a_flagged[aw]; a_rest != 0; a_rest &= a_rest - 1) {
+      // Both sides hold exactly `matches` flags, so b has one left here.
+      while (b_rest == 0) b_rest = b_flagged[++bw];
+      const size_t i = aw * 64 + static_cast<size_t>(__builtin_ctzll(a_rest));
+      const size_t j = bw * 64 + static_cast<size_t>(__builtin_ctzll(b_rest));
+      if (a[i] != b[j]) ++transpositions;
+      b_rest &= b_rest - 1;
+    }
   }
   return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
@@ -227,7 +318,7 @@ size_t EditDistanceFast(std::string_view a, std::string_view b,
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return b.size();
   if (a.size() <= 64) return MyersEditDistance(a, b, scratch);
-  return DpEditDistance(a, b, scratch);
+  return BlockedEditDistance(a, b, scratch);
 }
 
 double NormalizedEditSimilarityFast(std::string_view a, std::string_view b,
@@ -245,7 +336,7 @@ size_t LcsLengthFast(std::string_view a, std::string_view b,
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return border;
   if (a.size() <= 64) return border + BitParallelLcs(a, b, scratch);
-  return border + DpLcs(a, b, scratch);
+  return border + BlockedLcs(a, b, scratch);
 }
 
 double LcsRatioFast(std::string_view a, std::string_view b,
@@ -261,7 +352,7 @@ double JaroSimilarityFast(std::string_view a, std::string_view b,
                           MetricScratch* scratch) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  if (b.size() > 64) return ScalarJaro(a, b, scratch);
+  if (b.size() > 64) return BlockedJaro(a, b, scratch);
   BuildCharMasks(b, scratch);
   const double jaro = BitParallelJaro(a, b, scratch->char_masks);
   ClearCharMasks(b, scratch);

@@ -4,25 +4,28 @@
 // Each kernel computes *exactly* the same value as its reference counterpart
 // in similarity.h (same integers, hence bit-identical derived doubles) but
 // reuses caller-owned scratch buffers instead of allocating per call, and
-// uses asymptotically faster exact algorithms where they exist:
+// runs a bit-parallel exact algorithm at every length: one 64-bit word per
+// text character when the pattern fits one word, W = ceil(n / 64) words
+// otherwise. No kernel has an O(n*m) or scalar-scan path.
 //
 //  - EditDistanceFast: common prefix/suffix stripping (distance-preserving),
-//    then Myers' bit-parallel algorithm (O(n) words for patterns <= 64
-//    chars), falling back to a two-row int32 DP for longer remainders.
+//    then Myers' bit-parallel algorithm on the shorter remainder: one word
+//    for <= 64 chars, Hyyro's blocked form over W words beyond (each word's
+//    horizontal +1/-1 delta at its last row carries into the next word).
 //  - LcsLengthFast: prefix/suffix stripping (each stripped char is part of
-//    some LCS), then the Allison-Dix bit-parallel LLCS recurrence for
-//    patterns <= 64 chars, int32 DP otherwise.
+//    some LCS), then the Allison-Dix bit-parallel LLCS recurrence, one word
+//    for <= 64 chars, W words beyond (the addition carries across words).
 //  - JaroSimilarityFast / JaroWinklerSimilarityFast: the reference's greedy
-//    match, bit-parallel when the searched string b is <= 64 chars (per-char
-//    position masks of b; each a[i] takes the lowest unflagged in-window
-//    match bit), with the reference's transposition count and arithmetic;
-//    the scalar scan over reusable flag buffers otherwise.
-//    JaroWinklerAgainstMasks runs the same bit-parallel match against masks
-//    the caller built once (BuildCharMasks), for one b compared with many a.
+//    match, bit-parallel over per-char position masks of the searched
+//    string b (each a[i] takes the lowest unflagged in-window match bit),
+//    with the reference's transposition count and arithmetic; one word when
+//    |b| <= 64, the window spread over W words beyond.
+//    JaroWinklerAgainstMasks runs the one-word match against masks the
+//    caller built once (BuildCharMasks), for one b compared with many a.
 //
 // Exactness is enforced by tests/prepared_parity_test.cc, which compares
 // every kernel against the reference implementation on randomized inputs
-// including lengths around the 64-char bit-parallel boundary.
+// of up to 300 chars, including lengths around every word boundary.
 
 #ifndef LEARNRISK_METRICS_STRING_KERNELS_H_
 #define LEARNRISK_METRICS_STRING_KERNELS_H_
@@ -35,20 +38,25 @@ namespace learnrisk {
 
 /// \brief Per-thread scratch for the prepared metric kernels. One instance
 /// per worker thread; the kernels resize the buffers as needed and leave
-/// `char_masks` zeroed between calls, so a scratch can be reused across any
-/// sequence of kernel invocations.
+/// `char_masks` and `block_masks` zeroed between calls, so a scratch can be
+/// reused across any sequence of kernel invocations.
 struct MetricScratch {
-  std::vector<int32_t> dp_prev;   ///< DP row (edit distance / LCS fallback)
-  std::vector<int32_t> dp_cur;    ///< DP row
-  std::vector<uint8_t> a_flags;   ///< Jaro match flags, left side (|b| > 64)
-  std::vector<uint8_t> b_flags;   ///< Jaro match flags, right side (|b| > 64)
   std::vector<uint8_t> used;      ///< entity-matching "already paired" flags
   std::vector<double> row_best;   ///< Monge-Elkan per-left-token maxima
   /// Per-character position bitmasks of the current pattern for the
-  /// bit-parallel kernels (edit distance, LCS, Jaro). Kernels zero only the
-  /// entries they touched, so the array stays clean without a 2KB memset
-  /// per call.
+  /// one-word bit-parallel kernels (edit distance, LCS, Jaro). Kernels zero
+  /// only the entries they touched, so the array stays clean without a 2KB
+  /// memset per call.
   uint64_t char_masks[256] = {};
+  /// Position masks of a pattern over 64 chars for the multi-word kernels:
+  /// 256 rows of `block_masks.size() / 256` words, character c's row first.
+  /// Kept zero like `char_masks`; it grows (zeroed) only when a pattern
+  /// needs more words than it holds.
+  std::vector<uint64_t> block_masks;
+  /// Per-word state of the multi-word kernels: VP and VN (edit distance),
+  /// V (LCS), or b's and a's match flags (Jaro).
+  std::vector<uint64_t> block_a;
+  std::vector<uint64_t> block_b;
 };
 
 /// \brief Levenshtein distance; same integer as EditDistance().

@@ -130,6 +130,60 @@ MetricSuite AllKindsSuite(size_t width) {
   return MetricSuite::FromSpecs(schema, std::move(specs));
 }
 
+// Lengths around every 64-char word boundary the multi-word kernels cross,
+// up to five words.
+const size_t kWordBoundaryLengths[] = {0,   1,   63,  64,  65,  127, 128,
+                                       129, 191, 192, 193, 256, 300};
+
+std::string RandomLetters(Rng* rng, size_t len, size_t alphabet) {
+  std::string s;
+  s.reserve(len);
+  for (size_t i = 0; i < len; ++i) {
+    s += static_cast<char>('a' + rng->Index(alphabet));
+  }
+  return s;
+}
+
+// Seeded random pairs of length 0-300 over 1-8-letter alphabets. A third
+// share a prefix and a suffix around independent middles, so the kernels'
+// prefix/suffix stripping still leaves a remainder over 64 chars; a few are
+// equal or one is a prefix of the other.
+std::vector<std::pair<std::string, std::string>> MultiWordPairs(
+    uint64_t seed, size_t count) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  pairs.reserve(count);
+  for (size_t iter = 0; iter < count; ++iter) {
+    const size_t alphabet = 1 + rng.Index(8);
+    std::string a;
+    std::string b;
+    switch (rng.Index(6)) {
+      case 0:
+      case 1: {
+        const std::string prefix = RandomLetters(&rng, rng.Index(40), alphabet);
+        const std::string suffix = RandomLetters(&rng, rng.Index(40), alphabet);
+        const size_t room = 300 - prefix.size() - suffix.size();
+        a = prefix + RandomLetters(&rng, rng.Index(room + 1), alphabet) +
+            suffix;
+        b = prefix + RandomLetters(&rng, rng.Index(room + 1), alphabet) +
+            suffix;
+        break;
+      }
+      case 2:
+        a = RandomLetters(&rng, rng.Index(301), alphabet);
+        b = rng.Bernoulli(0.5) ? a : a.substr(0, rng.Index(a.size() + 1));
+        break;
+      default:
+        a = RandomLetters(&rng, rng.Index(301), alphabet);
+        b = RandomLetters(&rng, rng.Index(301), alphabet);
+        break;
+    }
+    if (rng.Bernoulli(0.5)) std::swap(a, b);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  return pairs;
+}
+
 TEST(StringKernelsTest, EditDistanceMatchesReference) {
   Rng rng(11);
   MetricScratch scratch;
@@ -139,16 +193,25 @@ TEST(StringKernelsTest, EditDistanceMatchesReference) {
     ASSERT_EQ(EditDistanceFast(a, b, &scratch), EditDistance(a, b))
         << "a='" << a << "' b='" << b << "'";
   }
-  // Lengths straddling the 64-char bit-parallel boundary.
-  for (size_t la : {0u, 1u, 63u, 64u, 65u, 128u}) {
-    for (size_t lb : {0u, 1u, 63u, 64u, 65u, 128u}) {
+  // Both sides across every word boundary: periodic strings with no common
+  // end, then random ones over a 3-letter alphabet.
+  for (size_t la : kWordBoundaryLengths) {
+    for (size_t lb : kWordBoundaryLengths) {
       std::string a;
       std::string b;
       for (size_t i = 0; i < la; ++i) a += static_cast<char>('a' + i % 3);
       for (size_t i = 0; i < lb; ++i) b += static_cast<char>('b' + i % 4);
       ASSERT_EQ(EditDistanceFast(a, b, &scratch), EditDistance(a, b))
           << la << "x" << lb;
+      a = RandomLetters(&rng, la, 3);
+      b = RandomLetters(&rng, lb, 3);
+      ASSERT_EQ(EditDistanceFast(a, b, &scratch), EditDistance(a, b))
+          << "a='" << a << "' b='" << b << "'";
     }
+  }
+  for (const auto& [a, b] : MultiWordPairs(41, 20000)) {
+    ASSERT_EQ(EditDistanceFast(a, b, &scratch), EditDistance(a, b))
+        << "a='" << a << "' b='" << b << "'";
   }
 }
 
@@ -161,12 +224,23 @@ TEST(StringKernelsTest, LcsMatchesReference) {
     ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b)))
         << "a='" << a << "' b='" << b << "'";
   }
-  for (size_t la : {1u, 63u, 64u, 65u, 128u}) {
-    std::string a;
-    std::string b;
-    for (size_t i = 0; i < la; ++i) a += static_cast<char>('a' + i % 5);
-    for (size_t i = 0; i < la + 7; ++i) b += static_cast<char>('a' + i % 4);
-    ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b))) << la;
+  for (size_t la : kWordBoundaryLengths) {
+    for (size_t lb : kWordBoundaryLengths) {
+      std::string a;
+      std::string b;
+      for (size_t i = 0; i < la; ++i) a += static_cast<char>('a' + i % 5);
+      for (size_t i = 0; i < lb; ++i) b += static_cast<char>('b' + i % 4);
+      ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b)))
+          << la << "x" << lb;
+      a = RandomLetters(&rng, la, 3);
+      b = RandomLetters(&rng, lb, 3);
+      ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b)))
+          << "a='" << a << "' b='" << b << "'";
+    }
+  }
+  for (const auto& [a, b] : MultiWordPairs(43, 20000)) {
+    ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b)))
+        << "a='" << a << "' b='" << b << "'";
   }
 }
 
@@ -198,12 +272,13 @@ TEST(StringKernelsTest, JaroWinklerIsBitwiseSymmetric) {
   }
 }
 
-// The bit-parallel Jaro match (searched string b <= 64 chars) must pick the
-// same matches and count the same transpositions as the reference's scalar
-// scan. Exhaustive over every ordered pair of strings of length 0-6 over
-// {a,b,c}, where repeated characters make the greedy choice matter, then
-// seeded random pairs of length 0-130 so both |a| and |b| cross the 64-char
-// boundary (|a| > 64 with |b| <= 64 takes the bit-parallel path).
+// The bit-parallel Jaro match must pick the same matches and count the same
+// transpositions as the reference's scalar scan. Exhaustive over every
+// ordered pair of strings of length 0-6 over {a,b,c}, where repeated
+// characters make the greedy choice matter, then seeded random pairs of
+// length 0-300 so both |a| and |b| cross up to four word boundaries (the
+// searched string b picks the one-word or the multi-word match, whose
+// windows span several words).
 // JaroWinklerAgainstMasks runs the same match on masks built once per b.
 TEST(StringKernelsTest, BitParallelJaroMatchesReferenceExhaustive) {
   std::vector<std::string> strings = {""};
@@ -235,19 +310,12 @@ TEST(StringKernelsTest, BitParallelJaroMatchesReferenceExhaustive) {
   }
 
   Rng rng(23);
-  auto random_string = [&](size_t len, size_t alphabet) {
-    std::string s;
-    for (size_t i = 0; i < len; ++i) {
-      s += static_cast<char>('a' + rng.Index(alphabet));
-    }
-    return s;
-  };
   for (int iter = 0; iter < 20000; ++iter) {
     const size_t alphabet = 1 + rng.Index(8);
-    const std::string a = random_string(rng.Index(131), alphabet);
+    const std::string a = RandomLetters(&rng, rng.Index(301), alphabet);
     const std::string b = rng.Bernoulli(0.1)
                               ? a.substr(0, rng.Index(a.size() + 1))
-                              : random_string(rng.Index(131), alphabet);
+                              : RandomLetters(&rng, rng.Index(301), alphabet);
     ASSERT_TRUE(BitEqual(JaroSimilarityFast(a, b, &scratch),
                          JaroSimilarity(a, b)))
         << "a='" << a << "' b='" << b << "'";
@@ -264,22 +332,49 @@ TEST(StringKernelsTest, BitParallelJaroMatchesReferenceExhaustive) {
   }
   // Masks are left clean: every entry was cleared after use.
   for (const uint64_t mask : scratch.char_masks) ASSERT_EQ(mask, 0u);
+  for (const uint64_t mask : scratch.block_masks) ASSERT_EQ(mask, 0u);
 }
 
 // Scratch reuse across interleaved kernels must not leak state between
-// calls (char_masks hygiene).
+// calls: one-word patterns interleaved with 2- and 5-word ones (the
+// multi-word mask table grows mid-sequence) give the same results as on a
+// fresh scratch, and every mask entry is zero afterwards.
 TEST(StringKernelsTest, ScratchReuseIsClean) {
-  MetricScratch scratch;
-  const std::string a = "abcabcabc";
-  const std::string b = "xbcabcaby";
-  const size_t edit = EditDistanceFast(a, b, &scratch);
-  const size_t lcs = LcsLengthFast(a, b, &scratch);
-  for (int i = 0; i < 10; ++i) {
-    EditDistanceFast("zzzz", "qqqq", &scratch);
-    LcsLengthFast("qzqz", "zqzq", &scratch);
-    ASSERT_EQ(EditDistanceFast(a, b, &scratch), edit);
-    ASSERT_EQ(LcsLengthFast(a, b, &scratch), lcs);
+  Rng rng(29);
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"abcabcabc", "xbcabcaby"}, {"zzzz", "qqqq"}, {"qzqz", "zqzq"}};
+  for (size_t len : {100u, 300u, 40u, 120u, 257u, 64u}) {
+    pairs.emplace_back("<" + RandomLetters(&rng, len, 4),
+                       RandomLetters(&rng, len + rng.Index(20), 4) + ">");
   }
+  struct Result {
+    size_t edit;
+    size_t lcs;
+    double jaro;
+  };
+  std::vector<Result> expected;
+  for (const auto& [a, b] : pairs) {
+    MetricScratch fresh;
+    expected.push_back({EditDistanceFast(a, b, &fresh),
+                        LcsLengthFast(a, b, &fresh),
+                        JaroWinklerSimilarityFast(a, b, &fresh)});
+  }
+  MetricScratch scratch;
+  for (int round = 0; round < 10; ++round) {
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      // Rotate the start so each pattern follows a different one per round.
+      const size_t p = (k + static_cast<size_t>(round)) % pairs.size();
+      const auto& [a, b] = pairs[p];
+      ASSERT_EQ(EditDistanceFast(a, b, &scratch), expected[p].edit) << p;
+      ASSERT_EQ(LcsLengthFast(a, b, &scratch), expected[p].lcs) << p;
+      ASSERT_TRUE(BitEqual(JaroWinklerSimilarityFast(a, b, &scratch),
+                           expected[p].jaro))
+          << p;
+    }
+  }
+  ASSERT_GE(scratch.block_masks.size(), 256u * 5);
+  for (const uint64_t mask : scratch.char_masks) ASSERT_EQ(mask, 0u);
+  for (const uint64_t mask : scratch.block_masks) ASSERT_EQ(mask, 0u);
 }
 
 // The prepared Monge-Elkan kernel fuses both directions into one pass over
