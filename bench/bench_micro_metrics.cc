@@ -4,14 +4,17 @@
 // difference metrics, rule evaluation and VaR scoring — the inner loops of
 // feature generation and risk ranking. The reference kernels (similarity.h)
 // sit next to the prepared ones the gateway serves (string_kernels.h and
-// MetricSuite::EvaluatePrepared over PrepareRecord caches).
+// MetricSuite::EvaluatePrepared over PrepareRecord caches), and the served
+// classifier's per-pair MLP forward pass.
 
 #include <benchmark/benchmark.h>
 
 #include <string_view>
 #include <utility>
 
+#include "classifier/mlp.h"
 #include "common/math_util.h"
+#include "common/random.h"
 #include "metrics/difference.h"
 #include "metrics/metric_suite.h"
 #include "metrics/similarity.h"
@@ -129,6 +132,41 @@ void BM_PreparedMongeElkan(benchmark::State& state) {
   state.SetLabel(title ? "title" : "authors");
 }
 BENCHMARK(BM_PreparedMongeElkan)->Arg(0)->Arg(1);
+
+// The served classifier: a 21-input MLP of the default {32, 16} shape,
+// trained on a fixed synthetic set, scoring one row per iteration (the rows
+// rotate, so no input repeats back to back).
+void BM_MlpPredictProba(benchmark::State& state) {
+  constexpr size_t kRows = 512;
+  constexpr size_t kInputs = 21;
+  FeatureMatrix features(kRows, kInputs);
+  std::vector<uint8_t> labels(kRows);
+  Rng rng(5);
+  for (size_t r = 0; r < kRows; ++r) {
+    double sum = 0.0;
+    for (size_t c = 0; c < kInputs; ++c) {
+      const double v = rng.Uniform();
+      features.set(r, c, v);
+      sum += c % 3 == 0 ? v : -0.5 * v;
+    }
+    labels[r] = sum + 0.2 * rng.Normal() > 0.0 ? 1 : 0;
+  }
+  MlpOptions options;
+  options.hidden = {32, 16};
+  options.epochs = 5;
+  MlpClassifier classifier(options);
+  if (!classifier.Train(features, labels).ok()) {
+    state.SkipWithError("MLP training failed");
+    return;
+  }
+  size_t row = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        classifier.PredictProba(features.row(row), kInputs));
+    row = row + 1 == kRows ? 0 : row + 1;
+  }
+}
+BENCHMARK(BM_MlpPredictProba);
 
 void BM_DistinctEntity(benchmark::State& state) {
   for (auto _ : state) {

@@ -44,6 +44,8 @@ class MlpClassifier : public BinaryClassifier {
   const MlpOptions& options() const { return options_; }
 
  private:
+  friend struct MlpClassifierPeer;  // reads the trained parameters in tests
+
   struct Layer {
     size_t in = 0;
     size_t out = 0;
@@ -55,7 +57,9 @@ class MlpClassifier : public BinaryClassifier {
 
   void InitLayers(size_t input_dim, Rng* rng);
   // Forward pass; activations[l] = post-activation of layer l (activations[0]
-  // = standardized input). Returns the output probability.
+  // = standardized input), copied out when `acts` is non-null. Allocates
+  // nothing itself: the layers run in a reusable per-thread buffer. Returns
+  // the output probability.
   double Forward(const double* x, std::vector<std::vector<double>>* acts) const;
 
   MlpOptions options_;

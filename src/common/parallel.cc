@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,15 +27,40 @@ constexpr size_t kSerialCutoff = 256;
 // caller currently inside ParallelForRange. Nested calls run serially.
 thread_local int g_parallel_depth = 0;
 
-// CPUs this process may run on (its affinity mask: taskset, cpusets), or
-// the hardware thread count when the mask cannot be read.
+// First line of a small file, or "" when it cannot be read.
+std::string ReadFirstLine(const char* path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
+// The CPU cap of this process's cgroup quota (0: none), from cgroup v2's
+// cpu.max or else v1's cfs quota and period, as mounted in this process's
+// cgroup namespace.
+size_t CgroupCpuCap() {
+  const std::string v2 = ReadFirstLine("/sys/fs/cgroup/cpu.max");
+  if (!v2.empty()) return CpuQuotaCap(v2);
+  const std::string quota =
+      ReadFirstLine("/sys/fs/cgroup/cpu/cpu.cfs_quota_us");
+  const std::string period =
+      ReadFirstLine("/sys/fs/cgroup/cpu/cpu.cfs_period_us");
+  if (quota.empty() || period.empty()) return 0;
+  return CpuQuotaCap(quota + " " + period);
+}
+
+// CPUs this process may run on: its affinity mask (taskset, cpusets), or the
+// hardware thread count when the mask cannot be read, capped by its cgroup
+// CPU quota.
 size_t AvailableCpus() {
+  size_t cpus = std::max<size_t>(std::thread::hardware_concurrency(), 1);
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
-    return static_cast<size_t>(CPU_COUNT(&set));
+    cpus = static_cast<size_t>(CPU_COUNT(&set));
   }
-  return std::max<size_t>(std::thread::hardware_concurrency(), 1);
+  const size_t cap = CgroupCpuCap();
+  return cap == 0 ? cpus : std::min(cpus, cap);
 }
 
 /// One dispatched parallel loop. Shared by the caller and every worker that
@@ -157,6 +186,28 @@ class ThreadPool {
 }  // namespace
 
 size_t ParallelConcurrency() { return ThreadPool::Instance().concurrency(); }
+
+size_t CpuQuotaCap(std::string_view quota_period) {
+  if (!quota_period.empty() && quota_period.back() == '\n') {
+    quota_period.remove_suffix(1);
+  }
+  const size_t space = quota_period.find(' ');
+  if (space == std::string_view::npos) return 0;
+  const std::string_view quota = quota_period.substr(0, space);
+  const std::string_view period = quota_period.substr(space + 1);
+  // Parses all of `text` as a positive decimal integer, else returns 0.
+  auto positive = [](std::string_view text) -> int64_t {
+    int64_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size()) return 0;
+    return std::max<int64_t>(value, 0);
+  };
+  const int64_t q = positive(quota);
+  const int64_t p = positive(period);
+  if (q == 0 || p == 0) return 0;
+  return static_cast<size_t>(q / p + (q % p != 0));
+}
 
 void ParallelForRange(size_t n, const std::function<void(size_t, size_t)>& fn,
                       size_t num_threads) {

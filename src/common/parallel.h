@@ -1,9 +1,10 @@
 // Copyright 2026 The LearnRisk Authors
 // Data-parallel loops over a persistent worker pool. The pool is created
-// lazily on first use (one worker per CPU in the process's affinity mask,
-// less one: the calling thread always participates) and reused for the life
-// of the process, so a hot training loop pays no thread spawn/join cost per
-// epoch.
+// lazily on first use (one worker per CPU the process may use, less one: the
+// calling thread always participates) and reused for the life of the
+// process, so a hot training loop pays no thread spawn/join cost per epoch.
+// The CPUs it may use are those in its affinity mask, capped at
+// ceil(quota / period) when its cgroup sets a CPU quota.
 //
 // Work is split into statically-sized contiguous chunks (one per
 // participating thread); per-index dispatch happens inside the inlined chunk
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string_view>
 
 namespace learnrisk {
 
@@ -49,8 +51,16 @@ void ParallelFor(size_t n, Fn&& fn, size_t num_threads = 0) {
 }
 
 /// \brief Number of threads a ParallelFor can use (pool workers + caller):
-/// the CPUs in the process's affinity mask when the pool starts.
+/// the CPUs in the process's affinity mask when the pool starts, capped by
+/// the cgroup CPU quota if one is set.
 size_t ParallelConcurrency();
+
+/// \brief CPU cap of a cgroup CPU quota given as "<quota> <period>" (the
+/// cgroup v2 `cpu.max` line; for v1, `cpu.cfs_quota_us` and
+/// `cpu.cfs_period_us` joined by a space): ceil(quota / period) CPUs, or 0,
+/// meaning no cap, for a "max" or negative (v1's -1) quota and for
+/// malformed text. One trailing newline is accepted.
+size_t CpuQuotaCap(std::string_view quota_period);
 
 }  // namespace learnrisk
 

@@ -217,31 +217,39 @@ size_t JaroWindow(std::string_view a, std::string_view b) {
 /// of masks[a[i]] & window(i) & ~flagged: the same position. Its second pass
 /// pairs the k-th matched char of a with the k-th flagged position of b; so
 /// does the walk over `flagged` here. Same counts, same arithmetic.
+///
+/// Both loops are branch-free on the data: a miss still stores a[i] into
+/// the next free `matched` slot (the next hit overwrites it) and adds 0 to
+/// `matches`, and flagging the lowest bit of an empty `open` flags nothing.
 double BitParallelJaro(std::string_view a, std::string_view b,
                        const uint64_t* masks) {
   const size_t window = JaroWindow(a, b);
+  // From i = |b| + window on, the window starts at or past |b|: no a[i]
+  // there can match.
+  const size_t end = std::min(a.size(), b.size() + window);
   uint64_t flagged = 0;
-  char matched[64] = {};  // a's matched chars in order; matches <= |b| <= 64
+  // a's matched chars in order. matches <= |b| <= 64, and a miss after the
+  // 64th match stores into slot 64.
+  char matched[65];
   size_t matches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const size_t lo = i > window ? i - window : 0;
-    if (lo >= b.size()) break;  // lo only grows: no later window reaches b
+  for (size_t i = 0; i < end; ++i) {
     // Masks hold no bit at or above |b|, so only the reference's i + window
     // + 1 end needs masking here; lo < |b| <= 64 keeps both shifts in range.
+    const size_t lo = i > window ? i - window : 0;
     const size_t hi = i + window + 1;
     const uint64_t below_hi =
         hi >= 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
     const uint64_t open = masks[static_cast<unsigned char>(a[i])] & below_hi &
                           (~uint64_t{0} << lo) & ~flagged;
-    if (open == 0) continue;
-    flagged |= open & (~open + 1);  // lowest set bit
-    matched[matches++] = a[i];
+    flagged |= open & (~open + 1);  // lowest set bit, or nothing
+    matched[matches] = a[i];
+    matches += open != 0;
   }
   if (matches == 0) return 0.0;
   size_t transpositions = 0;
   uint64_t rest = flagged;  // exactly `matches` bits, so never 0 below
   for (size_t k = 0; k < matches; ++k) {
-    if (matched[k] != b[__builtin_ctzll(rest)]) ++transpositions;
+    transpositions += matched[k] != b[__builtin_ctzll(rest)];
     rest &= rest - 1;
   }
   return JaroFromCounts(matches, transpositions, a.size(), b.size());

@@ -19,7 +19,11 @@
 //    match, bit-parallel over per-char position masks of the searched
 //    string b (each a[i] takes the lowest unflagged in-window match bit),
 //    with the reference's transposition count and arithmetic; one word when
-//    |b| <= 64, the window spread over W words beyond.
+//    |b| <= 64, the window spread over W words beyond. The one-word match
+//    is branch-free on the data: it runs a[i] up to the exact bound
+//    min(|a|, |b| + window), stores a[i] into the next free match slot
+//    whether or not it matched, and counts the match and each transposition
+//    by adding a 0/1 comparison.
 //    JaroWinklerAgainstMasks runs the one-word match against masks the
 //    caller built once (BuildCharMasks), for one b compared with many a.
 //

@@ -3,12 +3,43 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "classifier/ensemble.h"
 #include "classifier/logistic.h"
 #include "classifier/mlp.h"
+#include "common/math_util.h"
 #include "common/random.h"
 
 namespace learnrisk {
+
+// Reads a trained MlpClassifier's parameters for the naive-forward oracle.
+struct MlpClassifierPeer {
+  // The one-neuron-at-a-time forward pass MlpClassifier::Forward replaced,
+  // loop for loop: each neuron sums its bias, then w[i] * cur[i] for i
+  // ascending, in per-row vectors.
+  static double NaiveForward(const MlpClassifier& clf, const double* x) {
+    std::vector<double> cur(clf.feature_mean_.size());
+    for (size_t i = 0; i < cur.size(); ++i) {
+      cur[i] = (x[i] - clf.feature_mean_[i]) / clf.feature_std_[i];
+    }
+    for (size_t l = 0; l < clf.layers_.size(); ++l) {
+      const MlpClassifier::Layer& layer = clf.layers_[l];
+      std::vector<double> next(layer.out, 0.0);
+      for (size_t o = 0; o < layer.out; ++o) {
+        double z = layer.b[o];
+        const double* wrow = layer.w.data() + o * layer.in;
+        for (size_t i = 0; i < layer.in; ++i) z += wrow[i] * cur[i];
+        const bool is_output = l + 1 == clf.layers_.size();
+        next[o] = is_output ? z : std::max(z, 0.0);
+      }
+      cur = std::move(next);
+    }
+    return Sigmoid(cur[0]);
+  }
+};
+
 namespace {
 
 // Linearly separable blobs.
@@ -112,6 +143,45 @@ TEST(MlpTest, DeterministicForSameSeed) {
   const auto pa = a.PredictProbaAll(features);
   const auto pb = b.PredictProbaAll(features);
   for (size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+}
+
+// The four-neuron forward pass must round exactly as the naive one: same
+// probability bits for layer widths with and without a remainder after the
+// groups of four, no hidden layer at all, and 1 or 21 inputs.
+TEST(MlpTest, PredictProbaMatchesNaiveForward) {
+  const std::vector<std::vector<size_t>> shapes = {{},     {1},      {3},
+                                                   {5, 7}, {32, 16}, {33, 17}};
+  for (const size_t width : {size_t{1}, size_t{21}}) {
+    constexpr size_t kRows = 300;
+    FeatureMatrix features(kRows, width);
+    std::vector<uint8_t> labels(kRows);
+    Rng rng(31 + width);
+    for (size_t r = 0; r < kRows; ++r) {
+      double sum = 0.0;
+      for (size_t c = 0; c < width; ++c) {
+        const double v = rng.Normal(0.0, 1.0 + static_cast<double>(c % 3));
+        features.set(r, c, v);
+        sum += c % 2 == 0 ? v : -0.5 * v;
+      }
+      labels[r] = sum + rng.Normal(0.0, 0.5) > 0.0 ? 1 : 0;
+    }
+    for (const std::vector<size_t>& hidden : shapes) {
+      MlpOptions opts;
+      opts.hidden = hidden;
+      opts.epochs = 5;
+      opts.seed = 3 + hidden.size();
+      MlpClassifier clf(opts);
+      ASSERT_TRUE(clf.Train(features, labels).ok());
+      for (size_t r = 0; r < kRows; ++r) {
+        const double fast = clf.PredictProba(features.row(r), width);
+        const double naive =
+            MlpClassifierPeer::NaiveForward(clf, features.row(r));
+        ASSERT_EQ(std::memcmp(&fast, &naive, sizeof(double)), 0)
+            << "width " << width << ", " << hidden.size()
+            << " hidden layers, row " << r << ": " << fast << " vs " << naive;
+      }
+    }
+  }
 }
 
 TEST(MlpTest, RejectsMismatchedInputs) {

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace learnrisk {
@@ -106,11 +109,51 @@ TEST(ParallelForTest, RangeVariantCoversAllIndices) {
 
 TEST(ParallelForTest, ConcurrencyFollowsAffinityMask) {
   // The pool is sized from the CPUs this process may run on, not the host's
-  // hardware thread count (the two differ under taskset or a cpuset).
+  // hardware thread count (the two differ under taskset or a cpuset),
+  // capped by the cgroup CPU quota when one is set (v2 cpu.max, else v1).
   cpu_set_t set;
   CPU_ZERO(&set);
   ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
-  EXPECT_EQ(ParallelConcurrency(), static_cast<size_t>(CPU_COUNT(&set)));
+  size_t expected = static_cast<size_t>(CPU_COUNT(&set));
+  auto first_line = [](const char* path) {
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+  };
+  std::string quota = first_line("/sys/fs/cgroup/cpu.max");
+  if (quota.empty()) {
+    const std::string v1 = first_line("/sys/fs/cgroup/cpu/cpu.cfs_quota_us");
+    const std::string period =
+        first_line("/sys/fs/cgroup/cpu/cpu.cfs_period_us");
+    if (!v1.empty() && !period.empty()) quota = v1 + " " + period;
+  }
+  const size_t cap = CpuQuotaCap(quota);
+  if (cap != 0) expected = std::min(expected, cap);
+  EXPECT_EQ(ParallelConcurrency(), expected);
+}
+
+TEST(ParallelForTest, CpuQuotaCapParsesCgroupQuota) {
+  // cgroup v2 cpu.max lines.
+  EXPECT_EQ(CpuQuotaCap("max 100000"), 0u);
+  EXPECT_EQ(CpuQuotaCap("max 100000\n"), 0u);
+  EXPECT_EQ(CpuQuotaCap("150000 100000"), 2u);
+  EXPECT_EQ(CpuQuotaCap("150000 100000\n"), 2u);
+  EXPECT_EQ(CpuQuotaCap("200000 100000"), 2u);
+  EXPECT_EQ(CpuQuotaCap("200001 100000"), 3u);
+  EXPECT_EQ(CpuQuotaCap("50000 100000"), 1u);
+  EXPECT_EQ(CpuQuotaCap("1 100000"), 1u);
+  // cgroup v1 quota and period joined: -1 is "no quota".
+  EXPECT_EQ(CpuQuotaCap("-1 100000"), 0u);
+  EXPECT_EQ(CpuQuotaCap("400000 100000"), 4u);
+  // Malformed text sets no cap.
+  for (const char* text :
+       {"", "\n", "150000", "150000 ", " 150000 100000", "150000  100000",
+        "150000 100000 1", "150000 0", "150000 -100000", "0 100000",
+        "1.5 100000", "150000 1e5", "abc 100000", "150000 max",
+        "150000\t100000", "99999999999999999999 100000"}) {
+    EXPECT_EQ(CpuQuotaCap(text), 0u) << "'" << text << "'";
+  }
 }
 
 TEST(ParallelForTest, ResultsMatchSerialComputation) {

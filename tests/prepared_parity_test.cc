@@ -335,6 +335,56 @@ TEST(StringKernelsTest, BitParallelJaroMatchesReferenceExhaustive) {
   for (const uint64_t mask : scratch.block_masks) ASSERT_EQ(mask, 0u);
 }
 
+// The one-word match stops at the first a[i] whose window starts past b,
+// i = |b| + window, and stores every a[i] into the next free matched slot,
+// match or not. Pairs with |a| in 65-300 and |b| in 1-64 whose a runs past
+// that bound check the bound itself (the last a[i] before it can only match
+// b's last char; half the pairs plant a char there that nothing else
+// matches), and a 64-char b that a matches in full, followed by more of
+// a, puts the miss stores one slot past the 64th match.
+TEST(StringKernelsTest, BitParallelJaroLoopBoundAndFullMatch) {
+  Rng rng(37);
+  MetricScratch scratch;
+  auto check = [&scratch](const std::string& a, const std::string& b) {
+    const double jaro = JaroSimilarity(a, b);
+    const double jw = JaroWinklerSimilarity(a, b);
+    EXPECT_TRUE(BitEqual(JaroSimilarityFast(a, b, &scratch), jaro))
+        << "a='" << a << "' b='" << b << "'";
+    EXPECT_TRUE(BitEqual(JaroWinklerSimilarityFast(a, b, &scratch), jw))
+        << "a='" << a << "' b='" << b << "'";
+    BuildCharMasks(b, &scratch);
+    EXPECT_TRUE(BitEqual(JaroWinklerAgainstMasks(a, b, scratch), jw))
+        << "a='" << a << "' b='" << b << "'";
+    ClearCharMasks(b, &scratch);
+  };
+  for (int iter = 0; iter < 4000; ++iter) {
+    const size_t alphabet = 1 + rng.Index(4);
+    const size_t a_len = 65 + rng.Index(236);
+    // window = |a| / 2 - 1, so |a| > |b| + window iff |b| <= ceil(|a| / 2).
+    const size_t b_max = std::min<size_t>(64, a_len - a_len / 2);
+    std::string a = RandomLetters(&rng, a_len, alphabet);
+    std::string b = RandomLetters(&rng, 1 + rng.Index(b_max), alphabet);
+    if (iter % 2 == 0) {
+      // b's last char occurs once in a, at the last i whose window reaches
+      // it: only that i can match it.
+      b.back() = 'z';
+      a[b.size() + a.size() / 2 - 2] = 'z';
+    }
+    check(a, b);
+  }
+  for (int iter = 0; iter < 2000; ++iter) {
+    const size_t alphabet = 1 + rng.Index(8);
+    const std::string b = RandomLetters(&rng, 64, alphabet);
+    const std::string a =
+        b + RandomLetters(&rng, 1 + rng.Index(236), 1 + rng.Index(8));
+    // a[i] == b[i] for i < 64 takes b[i]: every earlier b position is
+    // already flagged. So all 64 match and a has more chars to scan.
+    ASSERT_DOUBLE_EQ(JaroSimilarity(a, b),
+                     (64.0 / static_cast<double>(a.size()) + 2.0) / 3.0);
+    check(a, b);
+  }
+}
+
 // Scratch reuse across interleaved kernels must not leak state between
 // calls: one-word patterns interleaved with 2- and 5-word ones (the
 // multi-word mask table grows mid-sequence) give the same results as on a
