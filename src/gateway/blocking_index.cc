@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
+
+#include "common/timer.h"
 
 namespace learnrisk {
 
@@ -97,35 +101,6 @@ Status BlockingIndex::AddRecord(BlockingSide side, const Record& record,
   return Status::OK();
 }
 
-void BlockingIndex::ForEachToken(
-    BlockingSide side,
-    const std::function<void(const std::string&)>& fn) const {
-  const Side& s = side_of(side);
-  for (const auto& segment : s.segments) {
-    for (const auto& [token, ids] : segment->postings) {
-      (void)ids;
-      // The prior set answers "did an earlier segment index this token?" in
-      // one lookup, so each distinct token fires exactly once.
-      if (segment->prior.count(token) > 0) continue;
-      fn(token);
-    }
-  }
-}
-
-size_t BlockingIndex::TokenCount(BlockingSide side,
-                                 const std::string& token) const {
-  return CountToken(side_of(side), token);
-}
-
-void BlockingIndex::AppendTokenIds(BlockingSide side, const std::string& token,
-                                   std::vector<size_t>* out) const {
-  GatherIds(side_of(side), token, 0, out);
-}
-
-int64_t BlockingIndex::EntityAt(BlockingSide side, size_t id) const {
-  return EntityOf(side_of(side), id);
-}
-
 size_t BlockingIndex::CountToken(const Side& side, const std::string& token) {
   size_t count = 0;
   for (const auto& segment : side.segments) {
@@ -135,135 +110,177 @@ size_t BlockingIndex::CountToken(const Side& side, const std::string& token) {
   return count;
 }
 
-void BlockingIndex::GatherIds(const Side& side, const std::string& token,
-                              size_t first, std::vector<size_t>* out) {
-  for (size_t s = first; s < side.segments.size(); ++s) {
-    auto it = side.segments[s]->postings.find(token);
-    if (it == side.segments[s]->postings.end()) continue;
-    out->insert(out->end(), it->second.begin(), it->second.end());
+void BlockingIndex::GatherIds(const std::vector<const BlockingIndex*>& shards,
+                              BlockingSide side, const std::string& token,
+                              size_t first_shard, size_t first_segment,
+                              std::vector<size_t>* out) {
+  for (size_t k = first_shard; k < shards.size(); ++k) {
+    const Side& s = shards[k]->side_of(side);
+    for (size_t i = k == first_shard ? first_segment : 0;
+         i < s.segments.size(); ++i) {
+      auto it = s.segments[i]->postings.find(token);
+      if (it == s.segments[i]->postings.end()) continue;
+      for (size_t id : it->second) {
+        out->push_back(ShardedId{k, id}.Global(shards.size()));
+      }
+    }
   }
 }
 
-int64_t BlockingIndex::EntityOf(const Side& side, size_t id) {
-  // Last segment whose base is <= id; segments are base-ordered.
+int64_t BlockingIndex::EntityOf(const std::vector<const BlockingIndex*>& shards,
+                                BlockingSide side, size_t global_id) {
+  const ShardedId at = ShardedId::Of(global_id, shards.size());
+  const Side& s = shards[at.shard]->side_of(side);
+  // Last segment whose base is <= the local id; segments are base-ordered.
   auto it = std::upper_bound(
-      side.segments.begin(), side.segments.end(), id,
+      s.segments.begin(), s.segments.end(), at.local,
       [](size_t v, const std::shared_ptr<const Segment>& segment) {
         return v < segment->base;
       });
   const Segment& segment = **(it - 1);
-  return segment.entities[id - segment.base];
+  return segment.entities[at.local - segment.base];
 }
 
-size_t BlockingIndex::DfCapAt(size_t records) const {
-  const auto cap = static_cast<size_t>(config_.max_token_df *
+size_t BlockingIndex::DfCapAt(const std::vector<const BlockingIndex*>& shards,
+                              BlockingSide side, size_t extra) {
+  size_t records = extra;
+  for (const BlockingIndex* shard : shards) records += shard->num_records(side);
+  const auto cap = static_cast<size_t>(shards[0]->config_.max_token_df *
                                        static_cast<double>(records));
   return std::max<size_t>(cap, 1);
 }
 
-std::vector<size_t> BlockingIndex::Candidates(const Record& probe,
-                                              BlockingSide target) const {
+std::vector<size_t> BlockingIndex::Candidates(
+    const std::vector<const BlockingIndex*>& shards, const Record& probe,
+    BlockingSide target, double* merge_ms) {
+  if (merge_ms != nullptr) *merge_ms = 0.0;
   std::vector<size_t> out;
-  if (config_.key_attribute >= probe.values.size()) return out;
-  const Side& target_side = side_of(target);
+  const BlockingConfig& config = shards[0]->config_;
+  if (config.key_attribute >= probe.values.size()) return out;
+  const bool dedup = shards[0]->dedup_;
+  const size_t num_shards = shards.size();
   // The probe is scored as if it were the next record appended to the
   // opposite (probe) side — dedup folds both sides onto the single table —
   // so every df / block-size cap below is exactly what TokenBlocking would
-  // evaluate over the hypothetical (probe-appended) tables.
-  const Side& probe_side = dedup_ ? target_side : side_of(OppositeSide(target));
-  const size_t probe_df_cap = DfCapAt(probe_side.num_records + 1);
-  const size_t target_df_cap =
-      dedup_ ? probe_df_cap : DfCapAt(target_side.num_records);
+  // evaluate over the hypothetical (probe-appended) global tables.
+  const BlockingSide probe_side = dedup ? target : OppositeSide(target);
+  const size_t probe_df_cap = DfCapAt(shards, probe_side, 1);
+  const size_t target_df_cap = dedup ? probe_df_cap : DfCapAt(shards, target);
 
   std::set<size_t> found;
-  std::vector<const std::vector<size_t>*> lists;  // per-segment posting refs
+  // (shard, posting list) of every target segment holding the token.
+  std::vector<std::pair<size_t, const std::vector<size_t>*>> lists;
   for (const std::string& tok :
-       BlockingKeyTokens(probe, config_.key_attribute,
-                         config_.min_token_length)) {
+       BlockingKeyTokens(probe, config.key_attribute,
+                         config.min_token_length)) {
     // One pass over the target segments: count and remember the matching
     // posting lists, so passing the caps below doesn't re-find them.
     lists.clear();
     size_t target_count = 0;
-    for (const auto& segment : target_side.segments) {
-      auto it = segment->postings.find(tok);
-      if (it == segment->postings.end()) continue;
-      lists.push_back(&it->second);
-      target_count += it->second.size();
+    for (size_t k = 0; k < num_shards; ++k) {
+      for (const auto& segment : shards[k]->side_of(target).segments) {
+        auto it = segment->postings.find(tok);
+        if (it == segment->postings.end()) continue;
+        lists.emplace_back(k, &it->second);
+        target_count += it->second.size();
+      }
     }
     if (target_count == 0) continue;
     // Block sizes with the probe appended: the probe joins its own side's
     // posting list (dedup: the single shared list).
-    const size_t probe_count =
-        (dedup_ ? target_count : CountToken(probe_side, tok)) + 1;
-    const size_t target_block = dedup_ ? target_count + 1 : target_count;
-    if (target_block > target_df_cap ||
-        target_block > config_.max_block_size) {
+    size_t probe_count = 1 + (dedup ? target_count : 0);
+    for (size_t k = 0; !dedup && k < num_shards; ++k) {
+      probe_count += CountToken(shards[k]->side_of(probe_side), tok);
+    }
+    const size_t target_block = dedup ? target_count + 1 : target_count;
+    if (target_block > target_df_cap || target_block > config.max_block_size) {
       continue;  // token too common on the target side
     }
-    if (probe_count > probe_df_cap || probe_count > config_.max_block_size) {
+    if (probe_count > probe_df_cap || probe_count > config.max_block_size) {
       continue;  // token too common on the probe's side
     }
-    for (const std::vector<size_t>* ids : lists) {
-      found.insert(ids->begin(), ids->end());
+    for (const auto& [shard, ids] : lists) {
+      for (size_t id : *ids) {
+        found.insert(found.end(), ShardedId{shard, id}.Global(num_shards));
+      }
     }
   }
+  // Merge phase: the deterministic ascending global ordering.
+  const Timer merge_timer;
   out.assign(found.begin(), found.end());
+  if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
   return out;
 }
 
-std::vector<RecordPair> BlockingIndex::AllCandidates() const {
-  // Mirrors TokenBlocking's batch loop over the live postings: same caps
-  // (evaluated at the current record counts), same dedup semantics, same
-  // set-ordered deterministic output. A token is processed once, at the
-  // first left segment that contains it, with its full per-side lists
-  // gathered across segments.
-  const Side& left = left_;
-  const Side& right = side_of(BlockingSide::kRight);
-  const size_t left_df_cap = DfCapAt(left.num_records);
-  const size_t right_df_cap = DfCapAt(right.num_records);
+std::vector<RecordPair> BlockingIndex::AllCandidates(
+    const std::vector<const BlockingIndex*>& shards, double* merge_ms) {
+  if (merge_ms != nullptr) *merge_ms = 0.0;
+  const BlockingConfig& config = shards[0]->config_;
+  const bool dedup = shards[0]->dedup_;
+  const size_t num_shards = shards.size();
+  const size_t left_df_cap = DfCapAt(shards, BlockingSide::kLeft);
+  const size_t right_df_cap = DfCapAt(shards, BlockingSide::kRight);
 
+  // Mirrors TokenBlocking's batch loop over the live postings: same caps
+  // (evaluated at the current global record counts), same dedup semantics,
+  // same set-ordered deterministic output. A token is processed once, at
+  // the first left segment of the first shard that contains it, with its
+  // full per-side global id lists gathered across segments and shards.
   std::set<std::pair<size_t, size_t>> pair_set;
+  // Tokens already processed by an earlier shard (only needed when S > 1).
+  // The views point into shard segment postings, which outlive this call.
+  std::unordered_set<std::string_view> seen;
   std::vector<size_t> left_ids;
   std::vector<size_t> right_ids;
-  for (size_t s = 0; s < left.segments.size(); ++s) {
-    for (const auto& [token, seg_ids] : left.segments[s]->postings) {
-      (void)seg_ids;
-      // The segment's prior set answers "did an earlier segment index this
-      // token?" in one lookup — no per-token walk over earlier segments.
-      if (left.segments[s]->prior.count(token) > 0) continue;
-      left_ids.clear();
-      GatherIds(left, token, s, &left_ids);
-      if (!dedup_) {
-        right_ids.clear();
-        GatherIds(right, token, 0, &right_ids);
-      }
-      const std::vector<size_t>& rids = dedup_ ? left_ids : right_ids;
-      if (rids.empty()) continue;
-      if (left_ids.size() > left_df_cap || rids.size() > right_df_cap) {
-        continue;  // token too common to be discriminating
-      }
-      if (left_ids.size() > config_.max_block_size ||
-          rids.size() > config_.max_block_size) {
-        continue;  // block purging
-      }
-      for (size_t li : left_ids) {
-        for (size_t ri : rids) {
-          if (dedup_ && li >= ri) continue;
-          pair_set.emplace(li, ri);
+  for (size_t k = 0; k < num_shards; ++k) {
+    const Side& left = shards[k]->left_;
+    for (size_t s = 0; s < left.segments.size(); ++s) {
+      for (const auto& [token, seg_ids] : left.segments[s]->postings) {
+        (void)seg_ids;
+        // The segment's prior set answers "did an earlier segment of this
+        // shard index the token?" in one lookup, `seen` the same across
+        // shards — no per-token walk over earlier segments or shards.
+        if (left.segments[s]->prior.count(token) > 0) continue;
+        if (num_shards > 1 && !seen.insert(token).second) continue;
+        left_ids.clear();
+        GatherIds(shards, BlockingSide::kLeft, token, k, s, &left_ids);
+        if (!dedup) {
+          right_ids.clear();
+          GatherIds(shards, BlockingSide::kRight, token, 0, 0, &right_ids);
+        }
+        const std::vector<size_t>& rids = dedup ? left_ids : right_ids;
+        if (rids.empty()) continue;
+        if (left_ids.size() > left_df_cap || rids.size() > right_df_cap) {
+          continue;  // token too common to be discriminating
+        }
+        if (left_ids.size() > config.max_block_size ||
+            rids.size() > config.max_block_size) {
+          continue;  // block purging
+        }
+        for (size_t li : left_ids) {
+          for (size_t ri : rids) {
+            if (dedup && li >= ri) continue;
+            pair_set.emplace(li, ri);
+          }
         }
       }
     }
   }
 
+  // Merge phase: the deterministic global ordering (the set's iteration
+  // order) plus equivalence tagging against the owning shards.
+  const Timer merge_timer;
   std::vector<RecordPair> pairs;
   pairs.reserve(pair_set.size());
   for (const auto& [li, ri] : pair_set) {
     // Unknown entities (-1) never count as equivalent.
-    const int64_t left_entity = EntityOf(left, li);
+    const int64_t left_entity = EntityOf(shards, BlockingSide::kLeft, li);
     const bool equivalent =
-        left_entity >= 0 && left_entity == EntityOf(right, ri);
+        left_entity >= 0 &&
+        left_entity == EntityOf(shards, BlockingSide::kRight, ri);
     pairs.push_back(RecordPair{li, ri, equivalent});
   }
+  if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
   return pairs;
 }
 

@@ -13,7 +13,6 @@
 #define LEARNRISK_GATEWAY_BLOCKING_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -36,6 +35,22 @@ inline BlockingSide OppositeSide(BlockingSide side) {
   return side == BlockingSide::kLeft ? BlockingSide::kRight
                                      : BlockingSide::kLeft;
 }
+
+/// \brief Where a record of a sharded namespace lives: global id g is on
+/// shard g % S at local index g / S (local l of shard k is global l * S + k;
+/// with S == 1 the two coincide). Blocking, ShardedSideView and the
+/// gateway's shard split all address records through this one layout.
+struct ShardedId {
+  size_t shard = 0;
+  size_t local = 0;
+
+  /// \brief The location of `global_id` under `num_shards` shards.
+  static ShardedId Of(size_t global_id, size_t num_shards) {
+    return {global_id % num_shards, global_id / num_shards};
+  }
+  /// \brief The global id of this location under `num_shards` shards.
+  size_t Global(size_t num_shards) const { return local * num_shards + shard; }
+};
 
 /// \brief An in-memory inverted index over blocking tokens, maintained
 /// incrementally as a list of append-only immutable posting segments.
@@ -74,7 +89,6 @@ class BlockingIndex {
   static Result<BlockingIndex> Build(const Table& left, const Table& right,
                                      const BlockingConfig& config);
 
-  const BlockingConfig& config() const { return config_; }
   bool dedup() const { return dedup_; }
 
   /// \brief Records indexed on one side (dedup: both sides report the single
@@ -107,36 +121,37 @@ class BlockingIndex {
   /// single table regardless of `target`. Parity with the batch blocker is
   /// enforced by tests/blocking_index_test.cc.
   std::vector<size_t> Candidates(const Record& probe,
-                                 BlockingSide target) const;
+                                 BlockingSide target) const {
+    return Candidates({this}, probe, target);
+  }
 
   /// \brief Every candidate pair implied by the current postings, with the
   /// same caps, dedup semantics, and deterministic ordering as
   /// TokenBlocking over the same records.
-  std::vector<RecordPair> AllCandidates() const;
+  std::vector<RecordPair> AllCandidates() const {
+    return AllCandidates({this});
+  }
 
-  // --- Cross-shard merge support (src/gateway/shard_merge.cc) ---------------
-  // Sharded namespaces keep one BlockingIndex per shard (local record ids)
-  // and reproduce the global blocker by unioning postings across shards and
-  // applying the df / block-size caps at the *global* counts. These
-  // accessors expose exactly what that merge needs; they do not change the
-  // index's own cap semantics.
+  // --- The one implementation, over a shard list ---------------------------
+  // A sharded namespace keeps one index per shard over *local* ids
+  // (ShardedId). These statics union the postings of the list, evaluate the
+  // df and block-size caps at the summed (global) counts and return global
+  // ids, bit-identical to one unsharded index over the same records (and to
+  // TokenBlocking; tests/blocking_index_test.cc). All shards share one
+  // BlockingConfig and dedup flag. `merge_ms`, when non-null, receives the
+  // final ordering phase's wall time (the gateway's `shard_merge` span).
 
-  /// \brief Calls `fn(token)` exactly once per distinct token indexed on one
-  /// side (the per-segment `prior` sets dedup across segments). The
-  /// reference stays valid while this index (or a copy sharing its
-  /// segments) is alive.
-  void ForEachToken(BlockingSide side,
-                    const std::function<void(const std::string&)>& fn) const;
+  /// \brief Candidates(probe, target) over a shard list, ascending by
+  /// global id.
+  static std::vector<size_t> Candidates(
+      const std::vector<const BlockingIndex*>& shards, const Record& probe,
+      BlockingSide target, double* merge_ms = nullptr);
 
-  /// \brief Total posting count of `token` on one side (0 when absent).
-  size_t TokenCount(BlockingSide side, const std::string& token) const;
-
-  /// \brief Appends every posting id of `token` on one side, ascending.
-  void AppendTokenIds(BlockingSide side, const std::string& token,
-                      std::vector<size_t>* out) const;
-
-  /// \brief Entity id of one record of a side (-1 = unknown).
-  int64_t EntityAt(BlockingSide side, size_t id) const;
+  /// \brief AllCandidates() over a shard list: same pairs, order and
+  /// equivalence flags as the unsharded index.
+  static std::vector<RecordPair> AllCandidates(
+      const std::vector<const BlockingIndex*>& shards,
+      double* merge_ms = nullptr);
 
  private:
   using Postings = std::unordered_map<std::string, std::vector<size_t>>;
@@ -174,17 +189,22 @@ class BlockingIndex {
 
   /// \brief Total posting-list size of `token` across a side's segments.
   static size_t CountToken(const Side& side, const std::string& token);
-  /// \brief Appends all of a side's posting ids for `token` (ascending,
-  /// segments are base-ordered) starting from segment `first`.
-  static void GatherIds(const Side& side, const std::string& token,
-                        size_t first, std::vector<size_t>* out);
-  /// \brief Entity id of one global record index (binary search over the
-  /// side's base-ordered segments).
-  static int64_t EntityOf(const Side& side, size_t id);
+  /// \brief Appends the global posting ids of `token` on one side of the
+  /// shard list, from segment `first_segment` of shard `first_shard` on
+  /// (the caller knows the earlier ones do not hold the token).
+  static void GatherIds(const std::vector<const BlockingIndex*>& shards,
+                        BlockingSide side, const std::string& token,
+                        size_t first_shard, size_t first_segment,
+                        std::vector<size_t>* out);
+  /// \brief Entity id of one global record id of a side of the shard list
+  /// (binary search over the owning shard's base-ordered segments).
+  static int64_t EntityOf(const std::vector<const BlockingIndex*>& shards,
+                          BlockingSide side, size_t global_id);
 
-  /// \brief df cap at a record count (TokenBlocking's
-  /// max(max_token_df * records, 1)).
-  size_t DfCapAt(size_t records) const;
+  /// \brief df cap at one side's record count summed over the shard list,
+  /// plus `extra` (TokenBlocking's max(max_token_df * records, 1)).
+  static size_t DfCapAt(const std::vector<const BlockingIndex*>& shards,
+                        BlockingSide side, size_t extra = 0);
 
   BlockingConfig config_;
   bool dedup_ = false;

@@ -390,35 +390,60 @@ Result<Manifest> ParseManifest(const std::string& text,
   return m;
 }
 
-// Loads one checkpoint segment file into `table` (which carries the schema).
-Status LoadSegmentFile(const std::string& path, size_t expected_records,
-                       Table* table) {
+// The framed-file layout shared by checkpoint and review segments: a
+// header line, the payload size, the payload's CRC, then the payload.
+std::string FrameFile(const char* header, const std::string& payload) {
+  std::string out(header);
+  PutU64(&out, payload.size());
+  PutU32(&out, Crc32(payload.data(), payload.size()));
+  out += payload;
+  return out;
+}
+
+// Reads a file FrameFile wrote under `header` and checks that it exists and
+// that its header, size and CRC hold. On success `*bytes` holds the file and
+// `*payload` points at the payload, which runs to the end of `*bytes`. Every
+// diagnostic names the file and its `kind`.
+Status ReadFramedFile(const std::string& path, const char* header,
+                      const std::string& kind, std::string* bytes,
+                      const char** payload) {
   if (!std::filesystem::exists(path)) {
-    return Status::IOError("manifest references missing segment file '" +
+    return Status::IOError("manifest references missing " + kind + " '" +
                            path + "'");
   }
   Result<std::string> data = ReadFile(path);
   if (!data.ok()) return data.status();
-  const std::string& bytes = *data;
-  const size_t header_len = std::strlen(kSegmentHeader);
-  if (bytes.size() < header_len ||
-      bytes.compare(0, header_len, kSegmentHeader) != 0) {
-    return Status::IOError("corrupt checkpoint segment '" + path +
-                           "': bad header");
+  *bytes = data.MoveValueOrDie();
+  const size_t header_len = std::strlen(header);
+  if (bytes->size() < header_len ||
+      bytes->compare(0, header_len, header) != 0) {
+    return Status::IOError("corrupt " + kind + " '" + path + "': bad header");
   }
-  const char* p = bytes.data() + header_len;
-  const char* end = bytes.data() + bytes.size();
+  const char* p = bytes->data() + header_len;
+  const char* end = bytes->data() + bytes->size();
   uint64_t payload_size = 0;
   uint32_t stored_crc = 0;
   if (!GetU64(&p, end, &payload_size) || !GetU32(&p, end, &stored_crc) ||
       static_cast<uint64_t>(end - p) != payload_size) {
-    return Status::IOError("corrupt checkpoint segment '" + path +
+    return Status::IOError("corrupt " + kind + " '" + path +
                            "': truncated or oversized payload");
   }
   if (Crc32(p, payload_size) != stored_crc) {
-    return Status::IOError("corrupt checkpoint segment '" + path +
+    return Status::IOError("corrupt " + kind + " '" + path +
                            "': payload does not match its crc");
   }
+  *payload = p;
+  return Status::OK();
+}
+
+// Loads one checkpoint segment file into `table` (which carries the schema).
+Status LoadSegmentFile(const std::string& path, size_t expected_records,
+                       Table* table) {
+  std::string bytes;
+  const char* p = nullptr;
+  LEARNRISK_RETURN_NOT_OK(
+      ReadFramedFile(path, kSegmentHeader, "checkpoint segment", &bytes, &p));
+  const char* end = bytes.data() + bytes.size();
   uint64_t num_records = 0;
   if (!GetU64(&p, end, &num_records) || num_records != expected_records) {
     return Status::IOError(
@@ -590,11 +615,7 @@ std::string EncodeSegment(const Table& table) {
   for (size_t i = 0; i < table.num_records(); ++i) {
     EncodeRecord(&payload, table.record(i), table.entity_id(i));
   }
-  std::string out(kSegmentHeader);
-  PutU64(&out, payload.size());
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
+  return FrameFile(kSegmentHeader, payload);
 }
 
 // Serializes the review queue's checkpoint state (resident items, then
@@ -615,11 +636,7 @@ std::string EncodeReviewSegment(const ReviewQueue::CheckpointState& state) {
     EncodeReviewItem(&payload, label.item);
     payload.push_back(static_cast<char>(label.truth));
   }
-  std::string out(kReviewSegmentHeader);
-  PutU64(&out, payload.size());
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
+  return FrameFile(kReviewSegmentHeader, payload);
 }
 
 Status LoadReviewSegment(const std::string& path, size_t expected_queued,
@@ -627,32 +644,11 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
                          std::vector<ReviewItem>* queued,
                          std::vector<ReviewItem>* outstanding,
                          std::vector<LabeledReview>* labeled) {
-  if (!std::filesystem::exists(path)) {
-    return Status::IOError("manifest references missing review segment '" +
-                           path + "'");
-  }
-  Result<std::string> data = ReadFile(path);
-  if (!data.ok()) return data.status();
-  const std::string& bytes = *data;
-  const size_t header_len = std::strlen(kReviewSegmentHeader);
-  if (bytes.size() < header_len ||
-      bytes.compare(0, header_len, kReviewSegmentHeader) != 0) {
-    return Status::IOError("corrupt review segment '" + path +
-                           "': bad header");
-  }
-  const char* p = bytes.data() + header_len;
+  std::string bytes;
+  const char* p = nullptr;
+  LEARNRISK_RETURN_NOT_OK(
+      ReadFramedFile(path, kReviewSegmentHeader, "review segment", &bytes, &p));
   const char* end = bytes.data() + bytes.size();
-  uint64_t payload_size = 0;
-  uint32_t stored_crc = 0;
-  if (!GetU64(&p, end, &payload_size) || !GetU32(&p, end, &stored_crc) ||
-      static_cast<uint64_t>(end - p) != payload_size) {
-    return Status::IOError("corrupt review segment '" + path +
-                           "': truncated or oversized payload");
-  }
-  if (Crc32(p, payload_size) != stored_crc) {
-    return Status::IOError("corrupt review segment '" + path +
-                           "': payload does not match its crc");
-  }
   auto load_items = [&](const char* section, size_t expected,
                         std::vector<ReviewItem>* out) -> Status {
     uint64_t count = 0;
@@ -892,7 +888,6 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
   const char* end = base + bytes.size();
   const char* p = base + header_len;
   while (p < end) {
-    const char* frame_start = p;
     uint32_t payload_size = 0;
     uint32_t stored_crc = 0;
     if (!GetU32(&p, end, &payload_size) || !GetU32(&p, end, &stored_crc) ||
@@ -931,7 +926,6 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
     }
     ++out.wal_entries_replayed;
     valid_end = static_cast<size_t>(p - base);
-    (void)frame_start;
   }
   out.wal_bytes_discarded = bytes.size() - valid_end;
   if (out.wal_bytes_discarded > 0) {

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "gateway/shard_merge.h"
 #include "risk/model_io.h"
 
 namespace learnrisk {
@@ -118,13 +117,14 @@ Result<size_t> ReadShardsFile(const std::string& path) {
   return num_shards;
 }
 
-// The records shard `shard` of `num_shards` owns: global ids congruent to
-// `shard` (mod num_shards), in ascending order, so shard-local index i is
-// global id i * num_shards + shard.
+// The records shard `shard` of `num_shards` owns, in local-index order
+// (the ShardedId layout, with table indices as global ids).
 Result<Table> ShardSubTable(const Table& src, size_t shard,
                             size_t num_shards) {
   Table sub(src.schema());
-  for (size_t i = shard; i < src.num_records(); i += num_shards) {
+  for (ShardedId at{shard, 0}; at.Global(num_shards) < src.num_records();
+       ++at.local) {
+    const size_t i = at.Global(num_shards);
     LEARNRISK_RETURN_NOT_OK(sub.Append(src.record(i), src.entity_id(i)));
   }
   return sub;
@@ -1219,12 +1219,14 @@ Result<ResolveResponse> Gateway::Resolve(const std::string& ns,
       response.pairs = request.pairs;
     } else {
       double merge_ms = 0.0;
-      response.pairs = MergedAllCandidates(ShardIndexes(snaps), &merge_ms);
+      response.pairs =
+          BlockingIndex::AllCandidates(ShardIndexes(snaps), &merge_ms);
       if (snaps.size() > 1) {
         block.Stop();
         // The merge phase is a sub-span of the blocking stage (already
         // inside blocking_ms), surfaced separately so shard overhead is
-        // attributable. With one shard no merge runs, so none is recorded.
+        // attributable. With one shard there is nothing to merge, so none is
+        // recorded.
         stages.Add(kShardMergeStage, merge_ms);
       }
     }
@@ -1258,7 +1260,8 @@ Result<ProbeResponse> Gateway::ResolveRecord(const std::string& ns,
     RequestStages::Span block(stages, kBlockStage);
     double merge_ms = 0.0;
     response.candidates =
-        MergedCandidates(ShardIndexes(snaps), probe, target, &merge_ms);
+        BlockingIndex::Candidates(ShardIndexes(snaps), probe, target,
+                                  &merge_ms);
     if (snaps.size() > 1) {
       block.Stop();
       stages.Add(kShardMergeStage, merge_ms);

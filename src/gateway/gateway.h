@@ -252,10 +252,10 @@ struct RecoverNamespaceSpec {
 ///  - A namespace registered with NamespaceSpec::shards = S > 1 keeps S
 ///    independent shards (each its own segment stores, blocking index,
 ///    snapshot pointer, writer mutex, and — when durable — WAL/checkpoint
-///    log). Readers pin every shard's snapshot and merge blocking
-///    candidates deterministically (gateway/shard_merge.h), so responses
-///    are bit-identical to the unsharded namespace at any S while writers
-///    to different shards proceed concurrently.
+///    log). Readers pin every shard's snapshot and block over the shard
+///    list (BlockingIndex::Candidates / AllCandidates take one), so
+///    responses are bit-identical to the unsharded namespace at any S while
+///    writers to different shards proceed concurrently.
 ///  - The FeaturePipeline is immutable after registration and read
 ///    lock-free. Model publishes go through the registry's hot-swap path
 ///    and never touch namespace snapshots.
@@ -490,7 +490,7 @@ class Gateway {
     bool dedup = false;
     /// Shard count (immutable after registration). Records live on shard
     /// (global id % num_shards) at local index (global id / num_shards);
-    /// see gateway/shard_merge.h.
+    /// see ShardedId in gateway/blocking_index.h.
     size_t num_shards = 1;
     Schema schema;
     /// Immutable after registration; read lock-free.

@@ -18,9 +18,10 @@
 // after online appends).
 //
 // ShardedSideView presents one side's per-shard SideStores as a single
-// store addressed by global record ids (see gateway/shard_merge.h for the
-// id layout). It is the one input type of FeaturePipeline's prepared
-// entry points; a lone SideStore converts implicitly to a 1-shard view.
+// store addressed by global record ids (ShardedId in
+// gateway/blocking_index.h is the id layout). It is the one input type of
+// FeaturePipeline's prepared entry points; a lone SideStore converts
+// implicitly to a 1-shard view.
 
 #ifndef LEARNRISK_GATEWAY_NAMESPACE_SEGMENTS_H_
 #define LEARNRISK_GATEWAY_NAMESPACE_SEGMENTS_H_
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "data/table.h"
+#include "gateway/blocking_index.h"
 #include "metrics/prepared_record.h"
 
 namespace learnrisk {
@@ -115,9 +117,9 @@ class SideStore {
 };
 
 /// \brief A read-only view over one side's per-shard SideStores, addressed
-/// by global record ids: global id g lives on shard g % S at local index
-/// g / S. The stores (and the snapshots owning them) must outlive the view;
-/// the gateway pins its per-request shard snapshots for exactly this reason.
+/// by global record ids in the ShardedId layout. The stores (and the
+/// snapshots owning them) must outlive the view; the gateway pins its
+/// per-request shard snapshots for exactly this reason.
 class ShardedSideView {
  public:
   explicit ShardedSideView(std::vector<const SideStore*> stores)
@@ -131,13 +133,13 @@ class ShardedSideView {
   /// shard. Exact per shard: while a sibling shard is momentarily shorter,
   /// an id below the total record count can still be out of range.
   bool InRange(size_t global_id) const {
-    return global_id / stores_.size() <
-           stores_[global_id % stores_.size()]->size();
+    const ShardedId at = ShardedId::Of(global_id, stores_.size());
+    return at.local < stores_[at.shard]->size();
   }
 
   const PreparedRecord& prepared(size_t global_id) const {
-    return stores_[global_id % stores_.size()]->prepared(global_id /
-                                                         stores_.size());
+    const ShardedId at = ShardedId::Of(global_id, stores_.size());
+    return stores_[at.shard]->prepared(at.local);
   }
 
  private:

@@ -1,13 +1,17 @@
 // Copyright 2026 The LearnRisk Authors
 // BlockingIndex tests: batch-build and incremental-add parity with the
 // offline TokenBlocking blocker on generated two-table and dedup workloads,
-// online probe semantics, and error paths.
+// online probe semantics, shard-list blocking at several shard counts, and
+// error paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "data/blocking.h"
 #include "data/generators.h"
@@ -244,6 +248,207 @@ TEST(BlockingIndexTest, ProbeParityHoldsAcrossIncrementalSegments) {
     non_empty += online.empty() ? 0 : 1;
   }
   EXPECT_GT(non_empty, 0u);
+}
+
+// --- Shard-list blocking against the offline oracle -------------------------
+
+// `table`'s records with the first `count` records of `extra` appended.
+Table Appended(const Table& table, const Table& extra, size_t count) {
+  Table out(table.schema());
+  for (size_t i = 0; i < table.num_records(); ++i) {
+    EXPECT_TRUE(out.Append(table.record(i), table.entity_id(i)).ok());
+  }
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(out.Append(extra.record(i), extra.entity_id(i)).ok());
+  }
+  return out;
+}
+
+// Length of a stream appended after `n` records that leaves the total
+// congruent to 29 mod 30: at S = 2, 3 and 5 the last shard ends one record
+// short of the others.
+size_t UnevenStreamLength(size_t n) {
+  size_t m = (29 + 30 - n % 30) % 30;
+  if (m < 5) m += 30;
+  return m;
+}
+
+// The first `base` records of `table` whose global id (table index) lives
+// on `shard` of `num_shards`, in local-index order.
+Table ShardPart(const Table& table, size_t base, size_t shard,
+                size_t num_shards) {
+  Table part(table.schema());
+  for (ShardedId at{shard, 0}; at.Global(num_shards) < base; ++at.local) {
+    const size_t i = at.Global(num_shards);
+    EXPECT_TRUE(part.Append(table.record(i), table.entity_id(i)).ok());
+  }
+  return part;
+}
+
+// S shard indexes over `left`/`right` (the same object for dedup): each
+// shard is bulk-built from its round-robin part of the first `base_left` /
+// `base_right` records, then the remaining records are appended one at a
+// time to the shard owning their global id, the way a sharded gateway
+// namespace routes online records.
+std::vector<BlockingIndex> ShardIndexes(const Table& left, const Table& right,
+                                        size_t base_left, size_t base_right,
+                                        const BlockingConfig& config,
+                                        size_t num_shards) {
+  const bool dedup = &left == &right;
+  std::vector<BlockingIndex> shards;
+  for (size_t k = 0; k < num_shards; ++k) {
+    const Table left_part = ShardPart(left, base_left, k, num_shards);
+    const Table right_part = ShardPart(right, base_right, k, num_shards);
+    Result<BlockingIndex> shard = BlockingIndex::Build(
+        left_part, dedup ? left_part : right_part, config);
+    EXPECT_TRUE(shard.ok());
+    shards.push_back(shard.MoveValueOrDie());
+  }
+  auto append = [&](const Table& table, size_t base, BlockingSide side) {
+    for (size_t i = base; i < table.num_records(); ++i) {
+      const ShardedId at = ShardedId::Of(i, num_shards);
+      EXPECT_EQ(shards[at.shard].num_records(side), at.local);
+      EXPECT_TRUE(shards[at.shard]
+                      .AddRecord(side, table.record(i), table.entity_id(i))
+                      .ok());
+    }
+  };
+  append(left, base_left, BlockingSide::kLeft);
+  if (!dedup) append(right, base_right, BlockingSide::kRight);
+  return shards;
+}
+
+// True iff some key token of `table` passes the df and block-size caps in
+// every one of `num_shards` round-robin shards, at that shard's own token
+// and record counts, yet fails them at the global counts: a token that a
+// blocker evaluating its caps per shard would wrongly keep.
+bool SomeTokenPassesEveryShardButNotGlobally(const Table& table,
+                                             const BlockingConfig& config,
+                                             size_t num_shards) {
+  auto passes = [&config](size_t count, size_t records) {
+    const auto df_cap = std::max<size_t>(
+        static_cast<size_t>(config.max_token_df *
+                            static_cast<double>(records)),
+        1);
+    return count <= df_cap && count <= config.max_block_size;
+  };
+  std::vector<size_t> shard_records(num_shards, 0);
+  std::map<std::string, std::vector<size_t>> shard_counts;
+  for (size_t i = 0; i < table.num_records(); ++i) {
+    const ShardedId at = ShardedId::Of(i, num_shards);
+    ++shard_records[at.shard];
+    for (const std::string& tok :
+         BlockingKeyTokens(table.record(i), config.key_attribute,
+                           config.min_token_length)) {
+      std::vector<size_t>& counts = shard_counts[tok];
+      counts.resize(num_shards, 0);
+      ++counts[at.shard];
+    }
+  }
+  for (const auto& [tok, counts] : shard_counts) {
+    size_t total = 0;
+    bool every_shard = true;
+    for (size_t k = 0; k < num_shards; ++k) {
+      total += counts[k];
+      every_shard = every_shard && passes(counts[k], shard_records[k]);
+    }
+    if (every_shard && !passes(total, table.num_records())) return true;
+  }
+  return false;
+}
+
+// Shard-list AllCandidates and probe Candidates at S in {1, 2, 3, 5},
+// checked against the offline TokenBlocking oracle (not against another
+// gateway path) over the same global tables and over the tables with each
+// probe appended. The tables are DS plus an appended stream that leaves one
+// shard a record short, so shards are uneven and hold several segments.
+// Besides the default caps, one config makes the df cap bind and one the
+// block-size cap, each with tokens that pass every per-shard cap but fail
+// the global one, so a blocker evaluating caps per shard diverges.
+TEST(BlockingIndexTest, ShardListMatchesTokenBlockingAtEveryShardCount) {
+  const Workload workload = SmallWorkload("DS");
+  const Workload unseen = [] {
+    GeneratorOptions options;
+    options.scale = 0.02;
+    options.seed = 99;
+    return GenerateDataset("DS", options).MoveValueOrDie();
+  }();
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "dedup" : "two-table");
+    const size_t base_left = workload.left().num_records();
+    const size_t base_right = workload.right().num_records();
+    const size_t stream_left = UnevenStreamLength(base_left);
+    const size_t stream_right = UnevenStreamLength(base_right);
+    ASSERT_LE(stream_left + 10, unseen.left().num_records());
+    ASSERT_LE(stream_right + 10, unseen.right().num_records());
+    const Table left = Appended(workload.left(), unseen.left(), stream_left);
+    const Table right_table =
+        Appended(workload.right(), unseen.right(), stream_right);
+    const Table& right = dedup ? left : right_table;
+
+    // Each config names the smallest S from which some token passes every
+    // per-shard cap but fails the global one (0: not required).
+    struct Case {
+      const char* name;
+      BlockingConfig config;
+      size_t diverges_from;
+    };
+    Case df_bound{"df cap binds", BlockingConfig{}, 3};
+    // A global df cap of 2 while every shard's own cap floors at 1 from
+    // S = 3 on: a token held once by each of three shards passes them all.
+    df_bound.config.max_token_df =
+        2.5 / static_cast<double>(left.num_records());
+    Case block_bound{"block-size cap binds", BlockingConfig{}, 2};
+    block_bound.config.max_token_df = 1.0;
+    block_bound.config.max_block_size = 3;
+    for (const Case& c : {Case{"default caps", BlockingConfig{}, 0}, df_bound,
+                          block_bound}) {
+      SCOPED_TRACE(c.name);
+      const BlockingConfig& config = c.config;
+      const auto oracle = TokenBlocking(left, right, config);
+      ASSERT_TRUE(oracle.ok());
+      ASSERT_FALSE(oracle->empty());
+      for (const size_t num_shards : {1, 2, 3, 5}) {
+        SCOPED_TRACE("S = " + std::to_string(num_shards));
+        if (c.diverges_from > 0 && num_shards >= c.diverges_from) {
+          EXPECT_TRUE(SomeTokenPassesEveryShardButNotGlobally(left, config,
+                                                              num_shards));
+        }
+        const std::vector<BlockingIndex> shards =
+            dedup ? ShardIndexes(left, left, base_left, base_left, config,
+                                 num_shards)
+                  : ShardIndexes(left, right, base_left, base_right, config,
+                                 num_shards);
+        std::vector<const BlockingIndex*> view;
+        for (const BlockingIndex& shard : shards) view.push_back(&shard);
+        ExpectSamePairs(*oracle, BlockingIndex::AllCandidates(view));
+
+        size_t non_empty = 0;
+        for (size_t i = 0; i < 8; ++i) {
+          for (const BlockingSide target :
+               {BlockingSide::kRight, BlockingSide::kLeft}) {
+            const Table& opposite =
+                dedup || target == BlockingSide::kRight ? left : right;
+            const Table& fresh = dedup || target == BlockingSide::kRight
+                                     ? unseen.left()
+                                     : unseen.right();
+            // A stored record, and one past the appended stream.
+            for (const Record* probe :
+                 {&opposite.record((i * 13) % opposite.num_records()),
+                  &fresh.record(fresh.num_records() - 1 - i)}) {
+              const std::vector<size_t> online =
+                  BlockingIndex::Candidates(view, *probe, target);
+              ASSERT_EQ(online, BatchProbePartners(left, right, *probe,
+                                                   target, config))
+                  << "probe " << i;
+              non_empty += online.empty() ? 0 : 1;
+            }
+          }
+        }
+        EXPECT_GT(non_empty, 0u);
+      }
+    }
+  }
 }
 
 TEST(BlockingIndexTest, UnknownEntitiesNeverCountAsEquivalent) {
